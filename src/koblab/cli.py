@@ -588,7 +588,7 @@ def _run_ball_calibration(cfg: ExperimentConfig):
             if np.array_equal(z, w):
                 continue
             oracle = oracle_fn(z, w)
-            est = estimate_distance(domain, z, w, budget=cfg.budget, margin=cfg.margin, seed=cfg.seed)
+            est = estimate_distance(domain, z, w, budget=cfg.budget, margin=cfg.margin)
             if est.upper is None:
                 indeterminate = True
                 continue

@@ -152,8 +152,7 @@ def check_almost_geodesic(
     for i, j in sorted(index_pairs):
         s, t = float(curve.params[i]), float(curve.params[j])
         est = estimate_distance(
-            domain, curve.points[i], curve.points[j], budget=budget_per_pair,
-            margin=margin, seed=seed,
+            domain, curve.points[i], curve.points[j], budget=budget_per_pair, margin=margin
         )
         band_low = max(0.0, abs(s - t) / lam - kappa)
         band_high = lam * abs(s - t) + kappa
@@ -344,7 +343,7 @@ def visibility_experiment(
 
     rows = []
     for idx, (za, wb) in enumerate(zip(starts, ends)):
-        est = estimate_distance(domain, za, wb, budget=budget, margin=margin, seed=seed + idx)
+        est = estimate_distance(domain, za, wb, budget=budget, margin=margin)
         chain = est.chain
         if chain is None:
             rows.append(VisibilityCurveRow(idx, za, wb, "no-chain", None, None))

@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import poincare
+from .curves import STITCH_TOL
 from .domains import (
     CertifyResult,
     DomainOracle,
@@ -36,7 +36,6 @@ from .domains import (
 from .ladder import DyadicLadder, TAIL_RATIO
 from .poincare import poincare_distance
 
-STITCH_TOL = 1e-12
 BRACKET_TOL = 1e-12
 
 
@@ -384,6 +383,29 @@ def metric_lower_bound(domain: DomainOracle, z, v) -> float:
     return float(best)
 
 
+def _slice_geometry(
+    zc: complex, rc: float, margin: float
+) -> tuple[float, float, complex, complex] | None:
+    """Cost, working radius and parameters of a link from D(zc, rc) through 0, 1.
+
+    The working radius shrinks rc by the margin but never past the
+    parameters themselves; None when 0 or 1 lies outside D(zc, rc).
+    """
+    reach = max(abs(0 - zc), abs(1 - zc))
+    if reach >= rc:
+        return None
+    rho = 1.0 - margin
+    if reach / rc >= rho:
+        rho = 0.5 * (reach / rc + 1.0)  # keep the endpoints strictly interior
+    radius = rc * rho
+    zeta_in = (0 - zc) / radius
+    zeta_out = (1 - zc) / radius
+    # |zeta_in - zeta_out| = 1 / radius exactly; subtracting the stored
+    # parameters instead would wipe out tiny separations
+    m = (1.0 / radius) / abs(1.0 - zeta_out.conjugate() * zeta_in)
+    return math.atanh(min(m, poincare.MAX_ABS)), radius, zeta_in, zeta_out
+
+
 def _slice_link(
     domain: DomainOracle,
     z: np.ndarray,
@@ -395,33 +417,22 @@ def _slice_link(
 ) -> tuple[float, ChainLink] | None:
     """Link through z, w from a parameter disc D(zc, rc) on their complex line.
 
-    The working radius shrinks by the margin but never past the parameters
-    themselves; the resulting disc is re-certified against ``domain`` before
-    use (pass the certifying domain explicitly: a sub-domain certificate is
-    sound for any superset).
+    The disc is certified against ``domain`` before use (pass the certifying
+    domain explicitly: a sub-domain certificate is sound for any superset).
     """
-    d = w - z
-    reach = max(abs(0 - zc), abs(1 - zc))
-    if reach >= rc:
+    shape = _slice_geometry(zc, rc, margin)
+    if shape is None:
         return None
-    rho = 1.0 - margin
-    if reach / rc >= rho:
-        rho = 0.5 * (reach / rc + 1.0)  # keep the endpoints strictly interior
-    disc = AnalyticDisc(center=z + zc * d, direction=(rc * rho) * d)
+    cost, radius, zeta_in, zeta_out = shape
+    d = w - z
+    disc = AnalyticDisc(center=z + zc * d, direction=radius * d)
     result = domain.certify_affine_disc(disc.center, disc.direction, 1.0, max_cells=max_cells)
     if not result.certified:
         return None
-    zeta_in = (0 - zc) / (rc * rho)
-    zeta_out = (1 - zc) / (rc * rho)
-    # |zeta_in - zeta_out| = 1 / (rc rho) exactly; subtracting the stored
-    # parameters instead would wipe out tiny separations
-    m = (1.0 / (rc * rho)) / abs(1.0 - zeta_out.conjugate() * zeta_in)
-    cost = math.atanh(min(m, poincare.MAX_ABS))
     return cost, ChainLink(disc=disc, zeta_in=zeta_in, zeta_out=zeta_out)
 
 
 def _bisected_slice_region(
-    domain: DomainOracle,
     z: np.ndarray,
     w: np.ndarray,
     margin: float,
@@ -429,16 +440,17 @@ def _bisected_slice_region(
     reserve: int,
     centers: tuple[complex, ...] = (0.5, 0.5 + 0.3j, 0.5 - 0.3j, 0.25, 0.75),
     probe_cells: int = 512,
-) -> tuple[float, complex, float] | None:
+) -> tuple[float, complex, float, ChainLink] | None:
     """Largest cheaply-certified parameter disc over a fixed center family.
 
     For a fixed center, containment is monotone in the radius, so the
     maximal certified scale is found by doubling and bisection.  Probes get
     a small covering allowance: an indeterminate probe counts as too big,
     which keeps the route frugal and settles on the largest disc that
-    certifies comfortably (only CERTIFIED results are ever kept).
+    certifies comfortably (only CERTIFIED results are ever kept).  Returns
+    (cost, center, radius, link) for the cheapest certified link.
     """
-    best: tuple[float, complex, float] | None = None
+    best: tuple[float, complex, float, ChainLink] | None = None
     for zc in centers:
         if oracle.remaining() <= reserve:
             break
@@ -468,101 +480,48 @@ def _bisected_slice_region(
                 lo = mid
                 linked = trial
         if best is None or linked[0] < best[0]:
-            best = (linked[0], zc, lo)
+            best = (linked[0], zc, lo, linked[1])
     return best
 
 
-def _two_leg_slice(
-    domain: DomainOracle,
+def _compass_refine(
     z: np.ndarray,
     w: np.ndarray,
     margin: float,
     oracle: CountingOracle,
-    reserve: int,
-) -> tuple[float, list[ChainLink]] | None:
-    """Two bisected slice legs stitched at the segment midpoint.
+    start: tuple[float, complex, float, ChainLink],
+) -> tuple[float, ChainLink]:
+    """Compass search over (Re center, Im center, log radius) from a certified link.
 
-    Far-apart pairs often admit no cheap single disc; the half legs are
-    rounder and certify easily, and exact endpoint sharing keeps the stitch
-    exact.
+    The moves are +-step along each coordinate, and the first one whose link
+    is cheaper and certifies is taken; the step halves when no move
+    improves.  The search stops when the step falls below 1e-3 or the budget
+    is spent.  Only certified links are ever accepted, so the result needs
+    no re-certification.
     """
-    mid = 0.5 * (z + w)
-    if not oracle.contains(mid):
-        return None
-    links = []
-    total = 0.0
-    for p, q in ((z, mid), (mid, w)):
-        leg = _bisected_slice_region(
-            domain, p, q, margin, oracle, reserve, centers=(0.5, 0.25, 0.75)
+    cost, zc, rc, link = start
+    step = 0.25
+    while step >= 1e-3 and not oracle.exhausted:
+        grow = math.exp(step)
+        moves = (
+            (step, 1.0), (-step, 1.0), (1j * step, 1.0), (-1j * step, 1.0),
+            (0, grow), (0, 1.0 / grow),
         )
-        if leg is None:
-            return None
-        linked = _slice_link(oracle, p, q, leg[1], leg[2], margin)
-        if linked is None:
-            return None
-        total += linked[0]
-        links.append(linked[1])
-    return total, links
-
-
-def _optimized_slice_region(
-    domain: DomainOracle,
-    z: np.ndarray,
-    w: np.ndarray,
-    margin: float,
-    oracle: CountingOracle,
-    seed: int,
-    restarts: int = 16,
-    reserve: int = 0,
-    warm_start: tuple[float, complex, float] | None = None,
-) -> tuple[complex, float] | None:
-    """Derivative-free search for a large certified parameter disc through 0 and 1.
-
-    Nelder-Mead over (Re center, Im center, log radius), restarted from
-    deterministic seeds (the first restart warm-starts from the bisection
-    winner when available); candidate feasibility is decided by the covering
-    certifier, so anything reported was certified along the way.  The last
-    ``reserve`` oracle evaluations are left untouched for the caller's final
-    re-certification of the winner.
-    """
-
-    def objective(x):
-        zc = complex(x[0], x[1])
-        rc = math.exp(x[2])
-        reach = max(abs(0 - zc), abs(1 - zc))
-        if reach >= rc * (1.0 - margin):
-            return 10.0 + reach / rc
-        if oracle.remaining() <= reserve:
-            return 50.0
-        linked = _slice_link(oracle, z, w, zc, rc, margin)
-        if linked is None:
-            return 10.0 + rc
-        return linked[0]
-
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    best: tuple[float, complex, float] | None = warm_start
-    for trial in range(restarts):
-        if oracle.remaining() <= reserve:
-            break
-        if warm_start is not None:
-            zc0, r0 = warm_start[1], warm_start[2] * (1.0 + 0.1 * trial)
-            zc0 = zc0 + (0.2 * (rng.uniform() - 0.5) + 0.2j * (rng.uniform() - 0.5) if trial else 0.0)
+        for dc, scale in moves:
+            if oracle.exhausted:
+                break
+            # the cost is known before the probe, so a move whose link would
+            # not be cheaper costs no oracle calls
+            shape = _slice_geometry(zc + dc, rc * scale, margin)
+            if shape is None or shape[0] >= cost:
+                continue
+            trial = _slice_link(oracle, z, w, zc + dc, rc * scale, margin)
+            if trial is not None:
+                (cost, link), zc, rc = trial, zc + dc, rc * scale
+                break
         else:
-            zc0 = 0.5 + (0.3 * (rng.uniform() - 0.5) + 0.3j * (rng.uniform() - 0.5) if trial else 0.0)
-            r0 = 0.75 * (1.0 + trial * 0.5)
-        res = minimize(
-            objective,
-            np.array([zc0.real, zc0.imag, math.log(r0)]),
-            method="Nelder-Mead",
-            options={"maxfev": max(24, oracle.remaining() // (restarts * 32)), "xatol": 1e-6, "fatol": 1e-9},
-        )
-        # res.fun is the best value seen; re-evaluating here could only burn
-        # the reserve and misreport a feasible winner as penalized
-        if res.fun < 9.0 and (best is None or res.fun < best[0]):
-            best = (float(res.fun), complex(res.x[0], res.x[1]), math.exp(res.x[2]))
-    if best is None:
-        return None
-    return best[1], best[2]
+            step *= 0.5
+    return cost, link
 
 
 def _segment_ball_chain(
@@ -618,7 +577,6 @@ def search_upper_bound(
     w,
     budget: int = 10_000,
     margin: float = 1e-3,
-    seed: int = 0,
 ) -> tuple[float | None, object, int, str]:
     """Best certified upper bound found within budget.
 
@@ -651,7 +609,7 @@ def search_upper_bound(
                 per.append((0.0, None))
                 continue
             sub_val, sub_cert, sub_used, _ = search_upper_bound(
-                f, zb, wb, budget=oracle.remaining(), margin=margin, seed=seed
+                f, zb, wb, budget=oracle.remaining(), margin=margin
             )
             oracle.used += sub_used
             if sub_val is None:
@@ -677,35 +635,19 @@ def search_upper_bound(
         if linked is not None:
             candidates.append((linked[0], DiscChain(links=(linked[1],)), "slice"))
     else:
-        # cheap sound baseline first; then frugal maximal-scale bisection and
-        # a two-leg variant; the simplex search polishes with what remains
+        # two phases: the segment ball chain is the cheap answer that always
+        # exists; then the cheapest comfortably certified disc over a few
+        # centers (bisection, keeping 2/3 of the budget back), refined by
+        # compass search with the rest.  Both phases keep only links they
+        # certified themselves, so nothing is certified twice.
         fallback = _segment_ball_chain(domain, z, w, oracle)
         if fallback is not None:
             candidates.append((fallback[0], DiscChain(links=tuple(fallback[1])), "ball-chain"))
-        warm = None
         if oracle.remaining() > 64:
-            keep_for_later = oracle.remaining() * 2 // 3
-            warm = _bisected_slice_region(domain, z, w, margin, oracle, keep_for_later)
-            if warm is not None:
-                linked = _slice_link(oracle, z, w, warm[1], warm[2], margin)
-                if linked is not None:
-                    candidates.append((linked[0], DiscChain(links=(linked[1],)), "slice"))
-        if oracle.remaining() > 64:
-            keep_for_later = oracle.remaining() // 2
-            two_leg = _two_leg_slice(domain, z, w, margin, oracle, keep_for_later)
-            if two_leg is not None:
-                candidates.append(
-                    (two_leg[0], DiscChain(links=tuple(two_leg[1])), "slice-chain")
-                )
-        if oracle.remaining() > 64:
-            reserve = min(4096, oracle.remaining() // 4)
-            found = _optimized_slice_region(
-                domain, z, w, margin, oracle, seed, reserve=reserve, warm_start=warm
-            )
-            if found is not None and (warm is None or found != (warm[1], warm[2])):
-                linked = _slice_link(oracle, z, w, found[0], found[1], margin)
-                if linked is not None:
-                    candidates.append((linked[0], DiscChain(links=(linked[1],)), "slice"))
+            start = _bisected_slice_region(z, w, margin, oracle, oracle.remaining() * 2 // 3)
+            if start is not None:
+                cost, link = _compass_refine(z, w, margin, oracle, start)
+                candidates.append((cost, DiscChain(links=(link,)), "slice"))
 
     if not candidates:
         return None, None, oracle.used, "exhausted"
@@ -724,7 +666,11 @@ def estimate_distance(
     margin: float = 1e-3,
     seed: int = 0,
 ) -> DistanceEstimate:
-    """Two-sided bracket for the Kobayashi distance between z and w."""
+    """Two-sided bracket for the Kobayashi distance between z and w.
+
+    The search is deterministic; ``seed`` is accepted for existing callers
+    and unused.
+    """
     z = as_point(z, domain.dim)
     w = as_point(w, domain.dim)
     for name, pt in (("z", z), ("w", w)):
@@ -738,9 +684,7 @@ def estimate_distance(
             upper_certificate={"kind": "same-point"},
         )
     low, low_cert = lower_bound(domain, z, w)
-    up, up_cert, used, method = search_upper_bound(
-        domain, z, w, budget=budget, margin=margin, seed=seed
-    )
+    up, up_cert, used, method = search_upper_bound(domain, z, w, budget=budget, margin=margin)
     if up is None:
         return DistanceEstimate(
             lower=low,
@@ -915,9 +859,9 @@ def slice_identity_check(
                 f"total-domain point {t!r} does not project into the base"
             )
 
-    est_base = estimate_distance(base, z, w, budget=budget // 2, margin=margin, seed=seed)
+    est_base = estimate_distance(base, z, w, budget=budget // 2, margin=margin)
     zt, wt = sl.embed(z), sl.embed(w)
-    est_total = estimate_distance(total, zt, wt, budget=budget // 2, margin=margin, seed=seed)
+    est_total = estimate_distance(total, zt, wt, budget=budget // 2, margin=margin)
 
     transfer_used = False
     transfer_margin_used = 0.0

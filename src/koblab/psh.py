@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .domains import as_point
 
@@ -255,7 +254,7 @@ def strong_pseudoconvexity_check(
     if np.linalg.norm(cgrad) <= grad_floor:
         raise GradientVanishesError("complex tangent space undefined at a critical point")
     H, _ = _hessian(f, p, step)
-    basis = null_space(cgrad.reshape(1, -1))
+    basis = np.linalg.svd(cgrad.reshape(1, -1))[2][1:].conj().T
     if basis.shape[1] == 0:
         raise GradientVanishesError("empty complex tangent space")
     # quadratic form v -> sum H[j,k] v_j conj(v_k) has matrix conj(H) in the

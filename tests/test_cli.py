@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +277,15 @@ class TestMain:
         assert "wall_time" not in json.dumps(report)
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert "wall_time" in meta
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; a fresh interpreter shows
+        # what importing the CLI really pulls in
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = "import sys, koblab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"

@@ -397,6 +397,20 @@ class TestGenericCoveringPath:
             # looseness bounded so regressions in the search surface here
             assert est.upper <= 2.0 * truth
 
+    def test_search_winner_needs_no_recertification(self, sublevel_ball):
+        # the search keeps only links it certified itself: the winning link
+        # re-certifies on its own disc and prices at exactly the reported value
+        rng = np.random.Generator(np.random.Philox(key=41))
+        for _ in range(4):
+            z = 0.8 * sublevel_ball.sample_point(rng)
+            w = 0.8 * sublevel_ball.sample_point(rng)
+            val, cert, _, method = search_upper_bound(sublevel_ball, z, w, budget=20_000)
+            assert method == "slice"
+            assert isinstance(cert, DiscChain) and len(cert.links) == 1
+            recertified = chain_upper_bound(sublevel_ball, cert, margin=0.0)
+            assert recertified == pytest.approx(val, rel=1e-9)
+            assert recertified >= oracle_ball(z, w)
+
     def test_zero_budget_flags_unknown_upper(self, sublevel_ball):
         est = estimate_distance(sublevel_ball, [0.1, 0.0], [0.4, 0.1], budget=0)
         assert est.upper is None and est.upper_reason

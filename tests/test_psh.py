@@ -91,8 +91,13 @@ class TestGradient:
 
 
 class TestStrongPseudoconvexity:
-    def test_sphere(self):
-        val = strong_pseudoconvexity_check(norm_squared(2), [1.0, 0.0], level=1.0)
+    # in C^3 the complex tangent space has dimension 2, so the kernel basis
+    # has more than one column
+    @pytest.mark.parametrize("n", [2, 3], ids=["C2", "C3"])
+    def test_sphere(self, n):
+        p = np.zeros(n)
+        p[0] = 1.0
+        val = strong_pseudoconvexity_check(norm_squared(n), p, level=1.0)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_sphere_plus_pluriharmonic(self):
@@ -105,9 +110,16 @@ class TestStrongPseudoconvexity:
         val = strong_pseudoconvexity_check(field, p, step=1e-4, level=1.0)
         assert val == pytest.approx(1.0, abs=1e-6)
 
-    def test_degenerate_direction(self):
-        field = ScalarField(2, lambda z: abs(z[0]) ** 2)
-        val = strong_pseudoconvexity_check(field, [1.0, 0.0], step=1e-4)
+    @pytest.mark.parametrize(
+        "n, f",
+        [(2, lambda z: abs(z[0]) ** 2), (3, lambda z: abs(z[0]) ** 2 + abs(z[1]) ** 2)],
+        ids=["C2", "C3"],
+    )
+    def test_degenerate_direction(self, n, f):
+        field = ScalarField(n, f)
+        p = np.zeros(n)
+        p[0] = 1.0
+        val = strong_pseudoconvexity_check(field, p, step=1e-4)
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_scaling_covariance(self):
