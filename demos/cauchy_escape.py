@@ -21,4 +21,4 @@ print("Cauchy in the metric but converges to a boundary point, not an")
 print("interior one.")
 print()
 print("ratio certificate used for the tail:", table.ratio)
-print("CSV header:", table.to_csv().splitlines()[0])
+print("`koblab cauchy-demo --N 20 --out out/` writes these rows to cauchy_table.csv")

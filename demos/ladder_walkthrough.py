@@ -44,6 +44,4 @@ for nu in (1, 2, 3, 10, 20, 40):
     )
 print("  ratio certificate:", table.ratio)
 print("  certified tail from nu=10:", table.tail_from(10))
-print()
-print("first CSV lines:")
-print("\n".join(table.to_csv().splitlines()[:4]))
+print("  `koblab verify-ladder --N 40 --out out/` writes every row to chain_table.csv")

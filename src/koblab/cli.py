@@ -78,7 +78,6 @@ class ExperimentConfig:
     n_curves: int = 50
     lam: float = 1.0
     kappa: float = 0.2
-    domain: dict | None = None
     field: dict | None = None
     fault: str | None = None
 
@@ -96,7 +95,6 @@ _KEYS = {
     "n_curves": "n_curves",
     "lambda": "lam",
     "kappa": "kappa",
-    "domain": "domain",
     "field": "field",
     "fault": "fault",
 }
@@ -147,8 +145,6 @@ def parse_config(doc) -> ExperimentConfig:
         raise ConfigError("bad value at $.margin: need 0 <= margin < 1")
     if cfg.fault not in _FAULTS:
         raise ConfigError(f"bad value at $.fault: {cfg.fault!r} is not one of {list(_FAULTS)}")
-    if cfg.domain is not None and not isinstance(cfg.domain, Mapping):
-        raise ConfigError("bad value at $.domain: need an object")
     if cfg.field is not None and not isinstance(cfg.field, Mapping):
         raise ConfigError("bad value at $.field: need an object")
     return cfg
@@ -350,14 +346,6 @@ def _run_verify_ladder(cfg: ExperimentConfig):
             "rows": [
                 [int(table.nus[i]), float(table.terms[i]),
                  float(table.partial_sums[i]), float(table.tail_bounds[i])]
-                for i in range(table.nus.size)
-            ],
-        }
-        artifacts["chain_terms_full"] = {
-            "columns": ["nu", "a", "b", "term", "partial_sum", "tail_bound"],
-            "rows": [
-                [int(table.nus[i]), float(table.a_values[i]), float(table.b_values[i]),
-                 float(table.terms[i]), float(table.partial_sums[i]), float(table.tail_bounds[i])]
                 for i in range(table.nus.size)
             ],
         }
@@ -747,21 +735,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(
                 f"config experiment {doc['experiment']!r} does not match subcommand {args.experiment!r}"
             )
-        overrides = {
-            "N": getattr(args, "depth", None),
-            "seed": args.seed,
-            "budget": args.budget,
-            "margin": args.margin,
-            "pairs": getattr(args, "pairs", None),
-            "dim": getattr(args, "dimension", None),
-            "r_nbhd": getattr(args, "r_nbhd", None),
-            "n_curves": getattr(args, "n_curves", None),
-            "lambda": getattr(args, "lam", None),
-            "kappa": getattr(args, "kappa", None),
-            "fault": getattr(args, "fault", None),
-        }
-        for key, value in overrides.items():
-            if value is not None:
+        # every flag's dest is its ExperimentConfig attribute
+        for attr, key in _ATTRS.items():
+            value = getattr(args, attr, None)
+            if attr not in ("experiment", "field") and value is not None:
                 doc[key] = value
         if getattr(args, "field", None):
             doc["field"] = _load_field_arg(args.field)

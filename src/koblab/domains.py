@@ -204,7 +204,7 @@ def _cover_certify(
     stack: list[tuple[complex, float]] = [(0j, rho)]
     pending: list[tuple[complex, float]] = []
     while stack:
-        if calls >= max_cells:
+        if calls + 2 > max_cells:  # a cell costs two calls
             return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=calls)
         zeta_c, half = stack.pop()
         if abs(zeta_c) - half * math.sqrt(2.0) > rho:

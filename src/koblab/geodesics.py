@@ -25,8 +25,7 @@ from .curves import SampledCurve
 from .domains import DomainOracle, PointOutsideDomainError, as_point
 from .kobayashi import (
     DiscChain,
-    UncertifiedDiscError,
-    disc_in_domain,
+    chain_upper_bound,
     estimate_distance,
     infinitesimal_bounds,
 )
@@ -38,34 +37,20 @@ INDETERMINATE = "indeterminate"
 
 
 def build_chain_curve(
-    domain: DomainOracle,
-    chain: DiscChain,
-    samples_per_disc: int = 200,
-    margin: float = 0.0,
-    max_cells: int = 4096,
+    domain: DomainOracle, chain: DiscChain, samples_per_disc: int = 200
 ) -> SampledCurve:
     """Concatenated disc geodesics of a certified chain, by hyperbolic length.
 
-    Each link contributes the image of the parameter-disc geodesic from its
+    Every link is certified on the closed parameter disc first; each then
+    contributes the image of the parameter-disc geodesic from its
     in-parameter to its out-parameter, so the total parameter length equals
-    the chain cost at the same margin.
+    the chain cost.
     """
-    rho = 1.0 - margin
+    chain_upper_bound(domain, chain, margin=0.0)
     pieces: list[SampledCurve] = []
-    for i, link in enumerate(chain.links):
-        result = disc_in_domain(link.disc, domain, margin, max_cells)
-        if not result.certified:
-            raise UncertifiedDiscError(
-                f"link {i}: disc not certified ({result.status.value})"
-            )
-        if link.zeta_in == link.zeta_out:
-            pieces.append(
-                SampledCurve(np.array([0.0]), link.start.reshape(1, -1))
-            )
-            continue
-        inner = disc_geodesic(link.zeta_in / rho, link.zeta_out / rho, samples_per_disc)
-        zetas = rho * inner.points[:, 0]
-        pts = np.array([link.disc.at(zeta) for zeta in zetas])
+    for link in chain.links:
+        inner = disc_geodesic(link.zeta_in, link.zeta_out, samples_per_disc)
+        pts = np.array([link.disc.at(zeta) for zeta in inner.points[:, 0]])
         pts[0] = link.start
         pts[-1] = link.end
         pieces.append(SampledCurve(inner.params, pts))
@@ -348,7 +333,7 @@ def visibility_experiment(
         if chain is None:
             rows.append(VisibilityCurveRow(idx, za, wb, "no-chain", None, None))
             continue
-        curve = build_chain_curve(domain, chain, samples_per_disc, margin=0.0)
+        curve = build_chain_curve(domain, chain, samples_per_disc)
         verdict = check_almost_geodesic(
             domain,
             curve,

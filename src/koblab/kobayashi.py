@@ -534,7 +534,7 @@ def _segment_ball_chain(
     from .domains import Ball
 
     def build(p, q, depth) -> list[ChainLink] | None:
-        if oracle.exhausted:
+        if oracle.remaining() < 3:  # a step spends up to three calls
             return None
         mid = 0.5 * (p + q)
         if not oracle.contains(mid):
@@ -945,19 +945,6 @@ class CauchyTable:
     rows: tuple[CauchyRow, ...]
     ratio: float
     margin: float
-
-    def to_csv(self) -> str:
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(["nu", "U", "T", "norm"])
-        for row in self.rows:
-            writer.writerow(
-                [row.nu, f"{row.upper:.17g}", f"{row.tail:.17g}", f"{row.norm:.17g}"]
-            )
-        return buf.getvalue()
 
 
 def cauchy_table(

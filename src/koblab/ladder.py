@@ -17,8 +17,6 @@ they are not a supported construction.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -65,10 +63,6 @@ class DyadicLadder:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-
-    @property
-    def is_dyadic(self) -> bool:
-        return self.a_fn is _dyadic_a and self.b_fn is _dyadic_b
 
     def a(self, nu: int) -> Fraction:
         if nu < 1:
@@ -253,8 +247,6 @@ class ChainTermTable:
     """
 
     nus: np.ndarray
-    a_values: np.ndarray
-    b_values: np.ndarray
     terms: np.ndarray
     partial_sums: np.ndarray
     tail_bounds: np.ndarray
@@ -280,23 +272,6 @@ class ChainTermTable:
         computed = float(np.sum(self.terms[start - 1 :]))
         return computed + float(self.tail_bounds[-1])
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["nu", "a", "b", "term", "partial_sum", "tail_bound"])
-        for i in range(self.nus.size):
-            writer.writerow(
-                [
-                    int(self.nus[i]),
-                    f"{self.a_values[i]:.17g}",
-                    f"{self.b_values[i]:.17g}",
-                    f"{self.terms[i]:.17g}",
-                    f"{self.partial_sums[i]:.17g}",
-                    f"{self.tail_bounds[i]:.17g}",
-                ]
-            )
-        return buf.getvalue()
-
 
 def chain_term_table(
     ladder: DyadicLadder, depth: int | None = None, ratio: float = TAIL_RATIO
@@ -306,8 +281,6 @@ def chain_term_table(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     nus = np.arange(1, depth + 1)
-    a_values = np.array([float(ladder.a(int(nu))) for nu in nus])
-    b_values = np.array([float(ladder.b(int(nu))) for nu in nus])
     terms = np.empty(depth)
     for i, nu in enumerate(nus):
         zin, zout = ladder.disc_parameters(int(nu))
@@ -323,13 +296,7 @@ def chain_term_table(
     # tail after nu (exclusive): term(nu) * r / (1 - r)
     tails = terms * (ratio / (1.0 - ratio))
     return ChainTermTable(
-        nus=nus,
-        a_values=a_values,
-        b_values=b_values,
-        terms=terms,
-        partial_sums=partial,
-        tail_bounds=tails,
-        ratio=ratio,
+        nus=nus, terms=terms, partial_sums=partial, tail_bounds=tails, ratio=ratio
     )
 
 

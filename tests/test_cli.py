@@ -68,6 +68,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\$\.lambda"):
             parse_config({"experiment": "visibility-demo", "lambda": 0.5})
 
+    def test_domain_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"\$\.domain"):
+            parse_config({"experiment": "verify-ladder", "domain": {"kind": "ball"}})
+
     def test_bad_fault_rejected(self):
         with pytest.raises(ConfigError, match=r"\$\.fault"):
             parse_config({"experiment": "verify-ladder", "fault": "gremlins"})
@@ -144,6 +148,7 @@ class TestRunExperiments:
         assert report.exit_code == 0
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "chain_table.csv").exists()
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["chain_table.csv"]
 
     def test_mutated_ladder_fails(self):
         cfg = parse_config({"experiment": "verify-ladder", "N": 15, "fault": "ladder-base3"})

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from koblab.cli import emit_plot_data, parse_config, run
 from koblab.domains import (
     Ball,
     Polydisc,
@@ -351,11 +352,15 @@ class TestCauchyTable:
         table = cauchy_table(domain, DyadicLadder(6), n=4)
         assert table.rows[0].upper <= 0.19283124040599234 * (1 + 2e-3)
 
-    def test_csv_header(self):
-        table = cauchy_table(unit_bidisc(), DyadicLadder(5), n=2)
-        lines = table.to_csv().splitlines()
+    def test_csv_header(self, tmp_path):
+        # the CLI's one CSV writer serializes the table
+        report = run(parse_config({"experiment": "cauchy-demo", "N": 5}), quiet=True)
+        emit_plot_data(report, tmp_path)
+        lines = (tmp_path / "cauchy_table.csv").read_text().splitlines()
         assert lines[0] == "nu,U,T,norm"
         assert len(lines) == 5  # depth-1 rows
+        table = cauchy_table(unit_bidisc(), DyadicLadder(5), n=2)
+        assert float(lines[1].split(",")[1]) == table.rows[0].upper
 
     def test_sublevel_domain_route(self):
         # {|z|^2 < 1} as the ambient: certifies the first few ladder steps
@@ -410,6 +415,16 @@ class TestGenericCoveringPath:
             recertified = chain_upper_bound(sublevel_ball, cert, margin=0.0)
             assert recertified == pytest.approx(val, rel=1e-9)
             assert recertified >= oracle_ball(z, w)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 7, 65, 2001])
+    def test_budget_never_overrun(self, sublevel_ball, budget):
+        # odd covering caps and three-call ball-chain steps are where the meter can overrun
+        rng = np.random.Generator(np.random.Philox(key=41))
+        pairs = [(0.8 * sublevel_ball.sample_point(rng), 0.8 * sublevel_ball.sample_point(rng))
+                 for _ in range(3)]
+        for z, w in pairs + [([0.1, 0.0], [0.4, 0.1])]:
+            est = estimate_distance(sublevel_ball, z, w, budget=budget)
+            assert est.budget_used <= budget
 
     def test_zero_budget_flags_unknown_upper(self, sublevel_ball):
         est = estimate_distance(sublevel_ball, [0.1, 0.0], [0.4, 0.1], budget=0)

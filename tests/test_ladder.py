@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from koblab.cli import emit_plot_data, parse_config, run
 from koblab.ladder import (
     DyadicLadder,
     base3_mutated_ladder,
@@ -132,12 +133,14 @@ class TestChainTermTable:
         with pytest.raises(ValueError):
             chain_term_table(base3_mutated_ladder(10))
 
-    def test_csv_format(self):
-        table = chain_term_table(DyadicLadder(40))
-        lines = table.to_csv().splitlines()
-        assert lines[0] == "nu,a,b,term,partial_sum,tail_bound"
+    def test_csv_format(self, tmp_path):
+        # the CLI's one CSV writer serializes the table
+        report = run(parse_config({"experiment": "verify-ladder", "N": 40}), quiet=True)
+        emit_plot_data(report, tmp_path)
+        lines = (tmp_path / "chain_table.csv").read_text().splitlines()
+        assert lines[0] == "nu,term,partial_sum,tail_bound"
         assert len(lines) == 41
         first = lines[1].split(",")
         assert first[0] == "1"
-        assert float(first[1]) == 1 / 16
-        assert float(first[3]) == pytest.approx(0.19283124040599234, abs=1e-16)
+        assert float(first[1]) == chain_term_table(DyadicLadder(40)).term(1)
+        assert float(first[1]) == pytest.approx(0.19283124040599234, abs=1e-16)
