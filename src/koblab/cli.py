@@ -357,7 +357,8 @@ def _build_candidate_domain(cfg: ExperimentConfig, field: ScalarField, ladder: D
 
     The enclosing radius for the tail coordinates is an estimate from sampled
     field values (flagged in the check detail), kept conservative by adding
-    the whole sublevel budget.
+    the whole sublevel budget.  The domain is None when the field has no
+    analytic Lipschitz bound: a sublevel domain needs a certified one.
     """
     n = cfg.dimension
     lifted = lift_quadratic_tail(field, n)
@@ -372,10 +373,12 @@ def _build_candidate_domain(cfg: ExperimentConfig, field: ScalarField, ladder: D
     ambient = ProductDomain(
         (Ball(np.zeros(2), 3.0), Ball(np.zeros(n - 2), tail_radius))
     )
+    if lifted.lipschitz is None:
+        return None, tail_radius
     seed_point = slice_embed(ladder.point_complex(1), n)
     domain = SublevelDomain(
         field=lifted, level=1.0, ambient=ambient, seed=seed_point,
-        lipschitz=None if lifted.lipschitz is None else lifted.lipschitz(3.0 + tail_radius),
+        lipschitz=lifted.lipschitz(3.0 + tail_radius),
     )
     return domain, tail_radius
 
@@ -397,10 +400,14 @@ def _run_cauchy_demo(cfg: ExperimentConfig):
         checks.append(
             CheckResult(
                 "enclosing-radius",
-                PASS,
+                INDET,
                 f"tail radius {tail_radius:.3g} is a sampled estimate, not a certificate",
             )
         )
+        if domain is None:
+            detail = f"{field.name} has no analytic Lipschitz bound"
+            checks.append(CheckResult("lipschitz", INDET, detail))
+            return checks, artifacts
     else:
         domain, n = unit_bidisc(), 2
 

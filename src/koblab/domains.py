@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -154,7 +154,11 @@ class DomainOracle(ABC):
         certified by ``boundary_distance``; subclasses with exact geometry
         override it with closed forms.
         """
-        return _cover_certify(self, center, direction, rho, max_cells)
+
+        def clearance(z):
+            return self.boundary_distance(z) if self.contains(z) else None
+
+        return _cover_certify(clearance, self.dim, center, direction, rho, max_cells)
 
     def sample_point(self, rng: np.random.Generator, max_tries: int = 10_000) -> np.ndarray:
         """Rejection-sample a point of the domain from its enclosing ball."""
@@ -177,22 +181,26 @@ def _unit_ball_sample(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _cover_certify(
-    domain: DomainOracle, center, direction, rho: float, max_cells: int
+    clearance, dim: int, center, direction, rho: float, max_cells: int
 ) -> CertifyResult:
     """Quadtree covering of the closed parameter disc of radius rho.
 
-    A cell is certified when the boundary-distance ball at its (clamped)
-    center covers the part of the cell inside the parameter disc; it is a
-    rejection witness when that point leaves the domain.  Budget exhaustion
-    yields INDETERMINATE, never a verdict.
+    ``clearance(z)`` is a certified lower bound on the distance from z to the
+    complement, None when z is outside; a probe is metered as two calls,
+    membership and distance.  A cell is certified when the clearance ball at
+    its (clamped) center covers the part of the cell inside the parameter
+    disc; it is a rejection witness when that point leaves the domain.
+    Budget exhaustion yields INDETERMINATE, never a verdict.
     """
-    center = as_point(center, domain.dim)
-    direction = as_point(direction, domain.dim)
+    center = as_point(center, dim)
+    direction = as_point(direction, dim)
     speed = float(np.linalg.norm(direction))
     if not 0 < rho <= 1.0:
         raise DomainError(f"rho = {rho} out of range")
     if speed == 0.0:
-        inside = domain.contains(center)
+        if max_cells < 1:
+            return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=0)
+        inside = clearance(center) is not None
         return CertifyResult(
             CertStatus.CERTIFIED if inside else CertStatus.REJECTED,
             rho,
@@ -213,13 +221,14 @@ def _cover_certify(
         if abs(probe) > rho:
             probe = probe / abs(probe) * rho
         point = center + probe * direction
+        gap = clearance(point)
         calls += 1
-        if not domain.contains(point):
+        if gap is None:
             return CertifyResult(
                 CertStatus.REJECTED, rho, witness=probe, oracle_calls=calls
             )
         calls += 1
-        reach = domain.boundary_distance(point) / speed
+        reach = gap / speed
         if reach >= abs(zeta_c - probe) + half * math.sqrt(2.0):
             continue  # certified ball swallows the cell
         if half < rho * 2.0 ** -14:
@@ -240,7 +249,7 @@ class Ball(DomainOracle):
 
     center: np.ndarray
     radius: float
-    dim: int = 0
+    dim: int = dataclass_field(init=False)
 
     def __post_init__(self):
         center = as_point(self.center)
@@ -282,6 +291,8 @@ class Ball(DomainOracle):
         return zc, math.sqrt(rc2)
 
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
+        if max_cells < 1:
+            return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=0)
         center = as_point(center, self.dim)
         direction = as_point(direction, self.dim)
         a = center - self.center
@@ -303,7 +314,7 @@ class Polydisc(DomainOracle):
 
     center: np.ndarray
     radii: np.ndarray
-    dim: int = 0
+    dim: int = dataclass_field(init=False)
 
     def __post_init__(self):
         center = as_point(self.center)
@@ -358,6 +369,8 @@ class Polydisc(DomainOracle):
         return _nested_intersection(discs)
 
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
+        if max_cells < 1:
+            return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=0)
         center = as_point(center, self.dim)
         direction = as_point(direction, self.dim)
         off = np.abs(center - self.center)
@@ -393,7 +406,7 @@ class ProductDomain(DomainOracle):
     """Cartesian product of lower-dimensional domains."""
 
     factors: tuple[DomainOracle, ...]
-    dim: int = 0
+    dim: int = dataclass_field(init=False)
 
     def __post_init__(self):
         factors = tuple(self.factors)
@@ -457,11 +470,15 @@ class ProductDomain(DomainOracle):
         cb, db = self.blocks(center), self.blocks(direction)
         calls = 0
         for f, c, d in zip(self.factors, cb, db):
-            res = f.certify_affine_disc(c, d, rho, max_cells=max_cells)
+            # the factors share the cap: each gets what the earlier ones left
+            res = f.certify_affine_disc(c, d, rho, max_cells=max_cells - calls)
             calls += res.oracle_calls
             if not res.certified:
                 return CertifyResult(res.status, rho, res.witness, calls)
         return CertifyResult(CertStatus.CERTIFIED, rho, oracle_calls=calls)
+
+
+CONNECT_DEPTH = 10  # seed-segment refinements (8, 16, ... pieces) before indeterminate
 
 
 @dataclass(frozen=True)
@@ -474,89 +491,68 @@ class SublevelDomain(DomainOracle):
     within the refinement budget the point is reported indeterminate; it is
     never guessed inside.
 
-    The boundary-distance certificate is (level - f(z)) / L for a Lipschitz
-    bound L of ``field`` on the enclosing ball, combined with the ambient
-    certificate.  Pass ``lipschitz`` whenever an analytic bound is known;
-    the finite-difference fallback estimate is flagged in ``lipschitz_mode``.
+    The boundary-distance certificate is min(ambient certificate,
+    (level - f(z)) / L), so ``lipschitz`` must be a certified bound L on the
+    Lipschitz constant of ``field`` over the ambient domain.  It is required:
+    a missing, None, non-positive or non-finite value raises DomainError,
+    since no sampled estimate may back a certificate.
     """
 
     field: Callable[[np.ndarray], float]
     level: float
     ambient: DomainOracle
     seed: np.ndarray
-    lipschitz: float | None = None
-    connect_depth: int = 10
-    dim: int = 0
-    lipschitz_mode: str = "supplied"
+    lipschitz: float = math.nan  # required; the default is rejected
+    dim: int = dataclass_field(init=False)
 
     def __post_init__(self):
+        lipschitz = self.lipschitz
+        if lipschitz is None or not 0 < lipschitz < math.inf:
+            raise DomainError(
+                f"lipschitz must be a certified positive Lipschitz bound, got {lipschitz!r}"
+            )
         seed = as_point(self.seed, self.ambient.dim)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "dim", self.ambient.dim)
-        if not self.ambient.contains(seed) or not self._value(seed) < self.level:
+        if self._clearance(seed) is None:
             raise DomainError("seed is not in the sublevel set")
-        if self.lipschitz is None:
-            object.__setattr__(self, "lipschitz", self._estimate_lipschitz())
-            object.__setattr__(self, "lipschitz_mode", "fd-estimate")
-        if self.lipschitz <= 0:
-            raise DomainError("Lipschitz bound must be positive")
 
-    def _value(self, z) -> float:
-        val = float(self.field(as_point(z, self.dim)))
+    def _clearance(self, z: np.ndarray) -> float | None:
+        """Certified distance from z to the complement of the raw sublevel set.
+
+        None when z is outside it; one evaluation of ``field`` otherwise.
+        Connectivity to the seed is not checked here.
+        """
+        if not self.ambient.contains(z):
+            return None
+        val = float(self.field(z))
         if not math.isfinite(val):
             raise DomainError("field evaluated to a non-finite value")
-        return val
+        if not val < self.level:
+            return None
+        return min(self.ambient.boundary_distance(z), (self.level - val) / self.lipschitz)
 
-    def _estimate_lipschitz(self, samples: int = 256, step: float = 1e-5) -> float:
-        rng = np.random.Generator(np.random.Philox(key=0xC0FFEE))
-        center, radius = self.ambient.enclosing_ball()
-        worst = 0.0
-        for _ in range(samples):
-            z = center + radius * _unit_ball_sample(rng, self.dim)
-            grad2 = 0.0
-            for j in range(self.dim):
-                for delta in (step, 1j * step):
-                    e = np.zeros(self.dim, dtype=complex)
-                    e[j] = delta
-                    grad2 += ((self._value(z + e) - self._value(z - e)) / (2 * step)) ** 2
-            worst = max(worst, math.sqrt(grad2))
-        # safety factor: a sampled maximum is not a bound
-        return 2.0 * worst if worst > 0 else 1.0
-
-    def _raw_inside(self, z) -> bool:
-        return self.ambient.contains(z) and self._value(z) < self.level
-
-    def _raw_distance(self, z) -> float:
-        if not self._raw_inside(z):
-            raise PointOutsideDomainError("point not in the sublevel set")
-        return min(
-            self.ambient.boundary_distance(z),
-            (self.level - self._value(z)) / self.lipschitz,
-        )
-
-    def _segment_connected(self, z) -> Membership:
-        z = as_point(z, self.dim)
+    def _segment_connected(self, z: np.ndarray) -> Membership:
         target = np.linalg.norm(z - self.seed)
         if target == 0:
             return Membership.INSIDE
         pieces = 8
-        for _ in range(self.connect_depth):
-            ts = np.linspace(0.0, 1.0, pieces + 1)
-            pts = [self.seed + t * (z - self.seed) for t in ts]
+        for _ in range(CONNECT_DEPTH):
             radii = []
-            for p in pts:
-                if not self._raw_inside(p):
+            for t in np.linspace(0.0, 1.0, pieces + 1):
+                gap = self._clearance(self.seed + t * (z - self.seed))
+                if gap is None:
                     return Membership.INDETERMINATE  # straight path exits
-                radii.append(self._raw_distance(p))
-            gap = target / pieces
-            if all(radii[i] + radii[i + 1] > gap for i in range(pieces)):
+                radii.append(gap)
+            step = target / pieces
+            if all(radii[i] + radii[i + 1] > step for i in range(pieces)):
                 return Membership.INSIDE
             pieces *= 2
         return Membership.INDETERMINATE
 
     def membership(self, z) -> Membership:
         z = as_point(z, self.dim)
-        if not self._raw_inside(z):
+        if self._clearance(z) is None:
             return Membership.OUTSIDE
         return self._segment_connected(z)
 
@@ -564,9 +560,11 @@ class SublevelDomain(DomainOracle):
         return self.membership(z) is Membership.INSIDE
 
     def boundary_distance(self, z) -> float:
-        if not self.contains(z):
+        z = as_point(z, self.dim)
+        gap = self._clearance(z)
+        if gap is None or self._segment_connected(z) is not Membership.INSIDE:
             raise PointOutsideDomainError("point not certified in the component")
-        return self._raw_distance(z)
+        return gap
 
     def enclosing_ball(self):
         return self.ambient.enclosing_ball()
@@ -575,8 +573,7 @@ class SublevelDomain(DomainOracle):
         # Cover against the raw sublevel set, then certify connectivity once:
         # overlapping certified balls are connected, so one connected point
         # places the whole swept disc in the seed's component.
-        raw = _RawSublevelView(self)
-        res = _cover_certify(raw, center, direction, rho, max_cells)
+        res = _cover_certify(self._clearance, self.dim, center, direction, rho, max_cells)
         if not res.certified:
             return res
         if self._segment_connected(as_point(center, self.dim)) is not Membership.INSIDE:
@@ -584,23 +581,6 @@ class SublevelDomain(DomainOracle):
                 CertStatus.INDETERMINATE, rho, oracle_calls=res.oracle_calls
             )
         return res
-
-
-class _RawSublevelView(DomainOracle):
-    """Sublevel set without the connectivity requirement (covering helper)."""
-
-    def __init__(self, owner: SublevelDomain):
-        self._owner = owner
-        self.dim = owner.dim
-
-    def contains(self, z) -> bool:
-        return self._owner._raw_inside(z)
-
-    def boundary_distance(self, z) -> float:
-        return self._owner._raw_distance(z)
-
-    def enclosing_ball(self):
-        return self._owner.enclosing_ball()
 
 
 def _parse_complex_vector(data) -> np.ndarray:
@@ -619,7 +599,8 @@ def domain_from_spec(
     Complex coordinates are [re, im] pairs.  Kinds: ``ball`` (center,
     radius), ``polydisc`` (center, radius scalar or list), ``product``
     (factors: list of specs), ``sublevel`` (center/radius for the ambient
-    ball, level, seed, field: name resolved through ``fields``).
+    ball, level, seed, field: name resolved through ``fields``, lipschitz:
+    a certified Lipschitz bound of the field, required).
     """
     kind = spec.get("kind")
     if kind == "ball":
@@ -636,13 +617,15 @@ def domain_from_spec(
         name = spec.get("field")
         if fields is None or name not in fields:
             raise DomainError(f"unresolved field reference {name!r}")
+        if spec.get("lipschitz") is None:
+            raise DomainError('sublevel spec needs "lipschitz", a certified Lipschitz bound')
         ambient = Ball(_parse_complex_vector(spec["center"]), float(spec["radius"]))
         return SublevelDomain(
             field=fields[name],
             level=float(spec["level"]),
             ambient=ambient,
             seed=_parse_complex_vector(spec["seed"]),
-            lipschitz=float(spec["lipschitz"]) if "lipschitz" in spec else None,
+            lipschitz=float(spec["lipschitz"]),
         )
     raise DomainError(f"unknown domain kind {kind!r}")
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import poincare
 from .curves import STITCH_TOL
 from .domains import (
+    CertStatus,
     CertifyResult,
     DomainOracle,
     PointOutsideDomainError,
@@ -37,6 +38,11 @@ from .ladder import DyadicLadder, TAIL_RATIO
 from .poincare import poincare_distance
 
 BRACKET_TOL = 1e-12
+# search_upper_bound: the parameter-plane centers the bisection tries, the
+# covering allowance of each of its probes, and the ball chain's halvings
+BISECTION_CENTERS = (0.5, 0.5 + 0.3j, 0.5 - 0.3j, 0.25, 0.75)
+PROBE_CELLS = 512
+BALL_CHAIN_DEPTH = 8
 
 
 class EstimationError(ValueError):
@@ -235,7 +241,9 @@ class CountingOracle(DomainOracle):
         return self.inner.slice_region(p, q)
 
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
-        cap = min(max_cells, max(1, self.remaining()))
+        cap = min(max_cells, self.remaining())
+        if cap < 1:
+            return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=0)
         result = self.inner.certify_affine_disc(center, direction, rho, max_cells=cap)
         self.used += result.oracle_calls
         return result
@@ -438,8 +446,6 @@ def _bisected_slice_region(
     margin: float,
     oracle: CountingOracle,
     reserve: int,
-    centers: tuple[complex, ...] = (0.5, 0.5 + 0.3j, 0.5 - 0.3j, 0.25, 0.75),
-    probe_cells: int = 512,
 ) -> tuple[float, complex, float, ChainLink] | None:
     """Largest cheaply-certified parameter disc over a fixed center family.
 
@@ -451,19 +457,19 @@ def _bisected_slice_region(
     (cost, center, radius, link) for the cheapest certified link.
     """
     best: tuple[float, complex, float, ChainLink] | None = None
-    for zc in centers:
+    for zc in BISECTION_CENTERS:
         if oracle.remaining() <= reserve:
             break
         reach = max(abs(0 - zc), abs(1 - zc))
         lo = reach / (1.0 - margin) * 1.02
-        linked = _slice_link(oracle, z, w, zc, lo, margin, max_cells=probe_cells)
+        linked = _slice_link(oracle, z, w, zc, lo, margin, max_cells=PROBE_CELLS)
         if linked is None:
             continue
         hi = lo
         for _ in range(6):
             if oracle.remaining() <= reserve:
                 break
-            trial = _slice_link(oracle, z, w, zc, hi * 2.0, margin, max_cells=probe_cells)
+            trial = _slice_link(oracle, z, w, zc, hi * 2.0, margin, max_cells=PROBE_CELLS)
             if trial is None:
                 break
             hi *= 2.0
@@ -473,7 +479,7 @@ def _bisected_slice_region(
             if oracle.remaining() <= reserve:
                 break
             mid = 0.5 * (lo + top)
-            trial = _slice_link(oracle, z, w, zc, mid, margin, max_cells=probe_cells)
+            trial = _slice_link(oracle, z, w, zc, mid, margin, max_cells=PROBE_CELLS)
             if trial is None:
                 top = mid
             else:
@@ -525,7 +531,7 @@ def _compass_refine(
 
 
 def _segment_ball_chain(
-    domain: DomainOracle, z: np.ndarray, w: np.ndarray, oracle: CountingOracle, max_depth: int = 8
+    z: np.ndarray, w: np.ndarray, oracle: CountingOracle
 ) -> tuple[float, list[ChainLink]] | None:
     """Fallback chain along the straight segment through inscribed balls.
 
@@ -554,7 +560,7 @@ def _segment_ball_chain(
                 oracle.used += 1
                 if linked is not None:
                     return [linked[1]]
-        if depth >= max_depth:
+        if depth >= BALL_CHAIN_DEPTH:
             return None
         left = build(p, mid, depth + 1)
         if left is None:
@@ -628,8 +634,9 @@ def search_upper_bound(
             candidates.append((val, cert, "product"))
 
     # single affine slice through the pair; an exact region needs no working
-    # margin beyond float safety, the certifier re-checks it either way
-    region = oracle.slice_region(z, w)
+    # margin beyond float safety, the certifier re-checks it either way.  The
+    # factor searches may have spent the whole budget.
+    region = None if oracle.exhausted else oracle.slice_region(z, w)
     if region is not None:
         linked = _slice_link(oracle, z, w, region[0], region[1], 1e-9)
         if linked is not None:
@@ -640,7 +647,7 @@ def search_upper_bound(
         # centers (bisection, keeping 2/3 of the budget back), refined by
         # compass search with the rest.  Both phases keep only links they
         # certified themselves, so nothing is certified twice.
-        fallback = _segment_ball_chain(domain, z, w, oracle)
+        fallback = _segment_ball_chain(z, w, oracle)
         if fallback is not None:
             candidates.append((fallback[0], DiscChain(links=tuple(fallback[1])), "ball-chain"))
         if oracle.remaining() > 64:

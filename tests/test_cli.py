@@ -203,6 +203,35 @@ class TestRunExperiments:
         table = cauchy_table(domain, ladder, n=3, depth=5, margin=1e-3)
         assert table.rows[0].upper <= 0.19283124040599234 * (1 + 2e-3)
 
+    @pytest.mark.parametrize("field, names", [
+        ({"kind": "norm2", "dim": 2},
+         ["u-candidate", "enclosing-radius", "membership", "upper-vs-term",
+          "tails-decreasing", "norms-decreasing"]),
+        ({"kind": "custom", "dim": 2, "expr": "abs2(z1) + abs2(z2)"},
+         ["u-candidate", "enclosing-radius", "lipschitz"]),
+    ], ids=["analytic-bound", "no-bound"])
+    def test_candidate_sampled_evidence_indeterminate(self, monkeypatch, field, names):
+        # the suite rejects every field shipped today, so stub it to accept:
+        # the sampled tail radius and a missing Lipschitz bound must never pass
+        import koblab.cli as cli
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(
+            cli, "verify_defining_candidate", lambda u, ladder: SimpleNamespace(accepted=True)
+        )
+        cfg = parse_config({"experiment": "cauchy-demo", "N": 6, "field": field})
+        checks, artifacts = cli._run_cauchy_demo(cfg)
+        status = {c.name: c.status for c in checks}
+        assert list(status) == names
+        assert status["enclosing-radius"] == "indeterminate"
+        assert ("cauchy_table" in artifacts) == ("membership" in status)
+        if "lipschitz" in status:
+            assert status["lipschitz"] == "indeterminate"
+        else:
+            assert {status[n] for n in names[2:]} == {"pass"}
+        report = RunReport(cfg.experiment, tuple(checks), artifacts, cfg, wall_time=0.0)
+        assert report.exit_code == 2
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = parse_config({"experiment": "slice-check", "pairs": 3, "seed": 11})
         dirs = [tmp_path / "a", tmp_path / "b"]

@@ -8,13 +8,13 @@ from koblab.domains import (
     CertStatus,
     DimensionMismatchError,
     DomainError,
+    DomainOracle,
     Membership,
     PointOutsideDomainError,
     Polydisc,
     ProductDomain,
     ProductSlice,
     SublevelDomain,
-    _cover_certify,
     as_point,
     domain_from_spec,
     slice_embed,
@@ -148,11 +148,11 @@ class TestDiscCertificates:
         ball = unit_ball(2)
         center = np.array([0.1 + 0.1j, -0.2j])
         direction = np.array([0.4, 0.3j])
-        generic = _cover_certify(ball, center, direction, 0.999, max_cells=20_000)
+        generic = DomainOracle.certify_affine_disc(ball, center, direction, 0.999, max_cells=20_000)
         closed = ball.certify_affine_disc(center, direction, 0.999)
         assert generic.certified and closed.certified
         bad_dir = np.array([1.2, 0.0])
-        generic = _cover_certify(ball, center * 0, bad_dir, 0.999, max_cells=20_000)
+        generic = DomainOracle.certify_affine_disc(ball, center * 0, bad_dir, 0.999, max_cells=20_000)
         assert generic.status is CertStatus.REJECTED
         assert not ball.contains(generic.witness * bad_dir)
 
@@ -163,6 +163,36 @@ class TestDiscCertificates:
     def test_sublevel_covering_certifies(self, ball_sublevel):
         res = ball_sublevel.certify_affine_disc([0.0, 0.0], [0.5, 0.0], 0.99, max_cells=4096)
         assert res.certified
+
+    def test_covering_evaluates_field_once_per_probe(self):
+        # centred at the seed, the connectivity walk is free and every probe
+        # certifies: each probe is two metered calls and one field evaluation
+        evaluations = []
+
+        def counted_norm2(z):
+            evaluations.append(1)
+            return norm2(z)
+
+        domain = SublevelDomain(
+            field=counted_norm2, level=1.0, ambient=Ball(np.zeros(2), 1.2),
+            seed=np.zeros(2), lipschitz=4.8,
+        )
+        evaluations.clear()
+        res = domain.certify_affine_disc([0.0, 0.0], [0.5, 0.3j], 0.99, max_cells=4096)
+        assert res.certified and res.oracle_calls > 2
+        assert len(evaluations) == res.oracle_calls // 2
+
+    @pytest.mark.parametrize("make", [
+        lambda: Ball(np.zeros(2), 1.0, dim=5),
+        lambda: Polydisc(np.zeros(2), 1.0, dim=5),
+        lambda: ProductDomain((unit_disc(), unit_disc()), dim=5),
+        lambda: SublevelDomain(
+            field=norm2, level=1.0, ambient=unit_ball(2), seed=np.zeros(2), lipschitz=2.0, dim=5
+        ),
+    ], ids=["ball", "polydisc", "product", "sublevel"])
+    def test_dim_is_derived_not_accepted(self, make):
+        with pytest.raises(TypeError):
+            make()
 
 
 class TestSublevelConnectivity:
@@ -180,6 +210,15 @@ class TestSublevelConnectivity:
         assert domain.membership([1.0]) is Membership.INDETERMINATE
         assert not domain.contains([1.0])
         assert domain.membership([2.5]) is Membership.OUTSIDE
+
+    @pytest.mark.parametrize("kwargs", [{}, {"lipschitz": None}, {"lipschitz": 0.0},
+                                        {"lipschitz": -2.0}],
+                             ids=["missing", "none", "zero", "negative"])
+    def test_lipschitz_bound_required(self, kwargs):
+        with pytest.raises(DomainError, match="lipschitz"):
+            SublevelDomain(
+                field=norm2, level=1.0, ambient=Ball(np.zeros(2), 1.0), seed=np.zeros(2), **kwargs
+            )
 
     def test_seed_must_be_inside(self):
         with pytest.raises(DomainError):
@@ -225,6 +264,15 @@ class TestDomainSpecs:
         )
         assert isinstance(domain, SublevelDomain)
         assert domain.contains([0.5, 0.0])
+
+    @pytest.mark.parametrize("extra", [{}, {"lipschitz": None}, {"lipschitz": 0.0},
+                                       {"lipschitz": -2.0}],
+                             ids=["missing", "none", "zero", "negative"])
+    def test_sublevel_spec_requires_lipschitz(self, extra):
+        spec = {"kind": "sublevel", "center": [[0, 0], [0, 0]], "radius": 1.0,
+                "level": 1.0, "seed": [[0, 0], [0, 0]], "field": "norm2", **extra}
+        with pytest.raises(DomainError, match="lipschitz"):
+            domain_from_spec(spec, fields={"norm2": norm2})
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):

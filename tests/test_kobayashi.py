@@ -16,6 +16,7 @@ from koblab.domains import (
     Ball,
     Polydisc,
     PointOutsideDomainError,
+    ProductDomain,
     SublevelDomain,
     unit_ball,
     unit_bidisc,
@@ -425,6 +426,21 @@ class TestGenericCoveringPath:
         for z, w in pairs + [([0.1, 0.0], [0.4, 0.1])]:
             est = estimate_distance(sublevel_ball, z, w, budget=budget)
             assert est.budget_used <= budget
+
+    @pytest.mark.parametrize("budget", range(9))
+    @pytest.mark.parametrize("name", ["disc", "bidisc", "ball2xdisc"])
+    def test_budget_never_overrun_closed_form(self, name, budget):
+        # closed-form certifiers and product factors share the same meter
+        z, w = np.array([0.1, 0.2j]), np.array([-0.3, 0.1])
+        domain, z, w = {
+            "disc": (unit_disc(), z[:1], w[:1]),
+            "bidisc": (unit_bidisc(), z, w),
+            "ball2xdisc": (
+                ProductDomain((unit_ball(2), unit_disc())), np.r_[z, 0.3], np.r_[w, -0.2j]
+            ),
+        }[name]
+        est = estimate_distance(domain, z, w, budget=budget)
+        assert est.budget_used <= budget
 
     def test_zero_budget_flags_unknown_upper(self, sublevel_ball):
         est = estimate_distance(sublevel_ball, [0.1, 0.0], [0.4, 0.1], budget=0)
