@@ -32,11 +32,11 @@ class PointOutsideDomainError(DomainError):
 
 
 def as_point(z, dim: int | None = None) -> np.ndarray:
-    """Coerce to a finite complex vector, optionally of prescribed dimension."""
-    arr = np.atleast_1d(np.asarray(z, dtype=complex)).copy()
+    """Coerce to a fresh finite complex vector, optionally of prescribed dimension."""
+    arr = np.array(z, dtype=complex, ndmin=1)  # always a copy
     if arr.ndim != 1:
         raise DomainError(f"expected a vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise DomainError("non-finite coordinate")
     if dim is not None and arr.size != dim:
         raise DimensionMismatchError(f"dimension {arr.size}, expected {dim}")
@@ -124,6 +124,15 @@ class DomainOracle(ABC):
         Raises PointOutsideDomainError when z is not in the domain.
         """
 
+    def _gap(self, z: np.ndarray) -> float | None:
+        """``boundary_distance(z) if contains(z) else None`` for a validated vector.
+
+        The covering certifier calls it once per probe.  Subclasses with
+        closed forms override it to skip re-validating z; this default keeps
+        the public methods, and so their semantics and metering.
+        """
+        return self.boundary_distance(z) if self.contains(z) else None
+
     @abstractmethod
     def enclosing_ball(self) -> tuple[np.ndarray, float]:
         ...
@@ -154,11 +163,7 @@ class DomainOracle(ABC):
         certified by ``boundary_distance``; subclasses with exact geometry
         override it with closed forms.
         """
-
-        def clearance(z):
-            return self.boundary_distance(z) if self.contains(z) else None
-
-        return _cover_certify(clearance, self.dim, center, direction, rho, max_cells)
+        return _cover_certify(self._gap, self.dim, center, direction, rho, max_cells)
 
     def sample_point(self, rng: np.random.Generator, max_tries: int = 10_000) -> np.ndarray:
         """Rejection-sample a point of the domain from its enclosing ball."""
@@ -258,14 +263,17 @@ class Ball(DomainOracle):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "dim", center.size)
 
+    def _gap(self, z):
+        # radius - norm > 0 exactly when norm < radius in IEEE arithmetic
+        gap = self.radius - float(np.linalg.norm(z - self.center))
+        return gap if gap > 0 else None
+
     def contains(self, z) -> bool:
-        z = as_point(z, self.dim)
-        return float(np.linalg.norm(z - self.center)) < self.radius
+        return self._gap(as_point(z, self.dim)) is not None
 
     def boundary_distance(self, z) -> float:
-        z = as_point(z, self.dim)
-        gap = self.radius - float(np.linalg.norm(z - self.center))
-        if gap <= 0:
+        gap = self._gap(as_point(z, self.dim))
+        if gap is None:
             raise PointOutsideDomainError("point not inside the ball")
         return gap
 
@@ -329,14 +337,18 @@ class Polydisc(DomainOracle):
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "dim", center.size)
 
+    def _gap(self, z):
+        # the smallest radius - |offset| is positive exactly when every
+        # |offset| < radius
+        gap = float(np.min(self.radii - np.abs(z - self.center)))
+        return gap if gap > 0 else None
+
     def contains(self, z) -> bool:
-        z = as_point(z, self.dim)
-        return bool(np.all(np.abs(z - self.center) < self.radii))
+        return self._gap(as_point(z, self.dim)) is not None
 
     def boundary_distance(self, z) -> float:
-        z = as_point(z, self.dim)
-        gap = float(np.min(self.radii - np.abs(z - self.center)))
-        if gap <= 0:
+        gap = self._gap(as_point(z, self.dim))
+        if gap is None:
             raise PointOutsideDomainError("point not inside the polydisc")
         return gap
 
@@ -423,13 +435,24 @@ class ProductDomain(DomainOracle):
             at += f.dim
         return out
 
+    def _gap(self, z):
+        gaps, at = [], 0
+        for f in self.factors:
+            gap = f._gap(z[at : at + f.dim])
+            if gap is None:
+                return None
+            gaps.append(gap)
+            at += f.dim
+        return min(gaps)
+
     def contains(self, z) -> bool:
-        return all(f.contains(b) for f, b in zip(self.factors, self.blocks(z)))
+        return self._gap(as_point(z, self.dim)) is not None
 
     def boundary_distance(self, z) -> float:
-        return min(
-            f.boundary_distance(b) for f, b in zip(self.factors, self.blocks(z))
-        )
+        gap = self._gap(as_point(z, self.dim))
+        if gap is None:
+            raise PointOutsideDomainError("point not inside the product")
+        return gap
 
     def enclosing_ball(self):
         centers, rad2 = [], 0.0
@@ -520,49 +543,66 @@ class SublevelDomain(DomainOracle):
     def _clearance(self, z: np.ndarray) -> float | None:
         """Certified distance from z to the complement of the raw sublevel set.
 
-        None when z is outside it; one evaluation of ``field`` otherwise.
-        Connectivity to the seed is not checked here.
+        None when z is outside it; one evaluation of the ambient oracle and
+        of ``field`` otherwise.  Connectivity to the seed is not checked here
+        (the ambient's own membership, connectivity included, is).
         """
-        if not self.ambient.contains(z):
+        ambient_gap = self.ambient._gap(z)
+        if ambient_gap is None:
             return None
         val = float(self.field(z))
         if not math.isfinite(val):
             raise DomainError("field evaluated to a non-finite value")
         if not val < self.level:
             return None
-        return min(self.ambient.boundary_distance(z), (self.level - val) / self.lipschitz)
+        return min(ambient_gap, (self.level - val) / self.lipschitz)
 
-    def _segment_connected(self, z: np.ndarray) -> Membership:
-        target = np.linalg.norm(z - self.seed)
+    def _segment_connected(self, z: np.ndarray, gap: float | None = None) -> Membership:
+        """Cover the segment from the seed to z by overlapping clearance balls.
+
+        ``gap``, z's own clearance when the caller has it, spares evaluating
+        z again.  Each doubling keeps the clearances at t = k / pieces, which
+        are exact in binary, and evaluates only the new midpoints.
+        """
+        offset = z - self.seed
+        target = np.linalg.norm(offset)
         if target == 0:
             return Membership.INSIDE
         pieces = 8
+        radii = [None] * pieces + [gap]
         for _ in range(CONNECT_DEPTH):
-            radii = []
-            for t in np.linspace(0.0, 1.0, pieces + 1):
-                gap = self._clearance(self.seed + t * (z - self.seed))
-                if gap is None:
-                    return Membership.INDETERMINATE  # straight path exits
-                radii.append(gap)
+            t = np.linspace(0.0, 1.0, pieces + 1)
+            for k, radius in enumerate(radii):
+                if radius is None:
+                    radius = radii[k] = self._clearance(self.seed + t[k] * offset)
+                    if radius is None:
+                        return Membership.INDETERMINATE  # straight path exits
             step = target / pieces
             if all(radii[i] + radii[i + 1] > step for i in range(pieces)):
                 return Membership.INSIDE
             pieces *= 2
+            radii = [r for kept in radii[:-1] for r in (kept, None)] + radii[-1:]
         return Membership.INDETERMINATE
+
+    def _gap(self, z):
+        gap = self._clearance(z)
+        if gap is None or self._segment_connected(z, gap) is not Membership.INSIDE:
+            return None
+        return gap
 
     def membership(self, z) -> Membership:
         z = as_point(z, self.dim)
-        if self._clearance(z) is None:
+        gap = self._clearance(z)
+        if gap is None:
             return Membership.OUTSIDE
-        return self._segment_connected(z)
+        return self._segment_connected(z, gap)
 
     def contains(self, z) -> bool:
         return self.membership(z) is Membership.INSIDE
 
     def boundary_distance(self, z) -> float:
-        z = as_point(z, self.dim)
-        gap = self._clearance(z)
-        if gap is None or self._segment_connected(z) is not Membership.INSIDE:
+        gap = self._gap(as_point(z, self.dim))
+        if gap is None:
             raise PointOutsideDomainError("point not certified in the component")
         return gap
 

@@ -1,8 +1,13 @@
 """Domain oracles: membership, certified distances, disc certificates, specs."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from koblab import domains, psh
 from koblab.domains import (
     Ball,
     CertStatus,
@@ -26,6 +31,11 @@ from koblab.domains import (
 
 def norm2(z):
     return float(np.sum(np.abs(np.asarray(z)) ** 2))
+
+
+def two_wells(at):
+    """Distance to the nearer of -at and at: below 1/2 on two discs of radius 1/2."""
+    return lambda z: min(abs(z[0] + at), abs(z[0] - at))
 
 
 @pytest.fixture
@@ -227,6 +237,44 @@ class TestSublevelConnectivity:
                 seed=np.array([1.5, 0.0]), lipschitz=2.0,
             )
 
+    def test_seed_outside_a_sublevel_ambient_component(self):
+        # -1.5 lies in the raw sublevel set of the ambient, but in its other
+        # well: the ambient's membership, connectivity included, rejects it
+        ambient = SublevelDomain(
+            field=two_wells(1.5), level=0.5, ambient=Ball(np.zeros(1), 3.0),
+            seed=np.array([1.5 + 0j]), lipschitz=1.0,
+        )
+        with pytest.raises(DomainError, match="seed is not in the sublevel set"):
+            SublevelDomain(
+                field=two_wells(1.5), level=0.5, ambient=ambient,
+                seed=np.array([-1.5 + 0j]), lipschitz=1.0,
+            )
+        inner = SublevelDomain(
+            field=two_wells(1.5), level=0.5, ambient=ambient,
+            seed=np.array([1.5 + 0j]), lipschitz=1.0,
+        )
+        assert inner.contains([1.2])
+        assert not inner.contains([-1.5])
+
+    @pytest.mark.parametrize("point, distinct", [((0.95, 0.2j), 33), ((0.9, 0.0), 9)])
+    def test_walk_evaluates_each_point_once(self, point, distinct):
+        # the generic-search domain: {|z|^2 < 1} in B(0, 1.2) with L = 4.8;
+        # the walk doubles from 8 pieces and z's own clearance is reused
+        seen = []
+        norm_squared = psh.norm_squared(2)
+
+        def field(z):
+            seen.append(z.tobytes())
+            return norm_squared(z)
+
+        domain = SublevelDomain(
+            field=field, level=1.0, ambient=Ball(np.zeros(2), 1.2),
+            seed=np.zeros(2), lipschitz=4.8,
+        )
+        seen.clear()
+        assert domain.membership(point) is Membership.INSIDE
+        assert len(seen) == len(set(seen)) == distinct
+
 
 class TestDomainSpecs:
     def test_ball_spec(self):
@@ -294,3 +342,115 @@ class TestAsPoint:
     def test_dim_check(self):
         with pytest.raises(DimensionMismatchError):
             as_point([1, 2, 3], dim=2)
+
+    def test_fresh_copy(self):
+        source = np.array([0.5 + 0.5j, -0.25])
+        point = as_point(source)
+        assert not np.shares_memory(point, source)
+        point[0] = 7.0
+        assert source[0] == 0.5 + 0.5j
+
+    def test_scalar_is_one_vector(self):
+        point = as_point(0.5j)
+        assert point.shape == (1,) and point.dtype == complex and point[0] == 0.5j
+
+    def test_rejects_matrix(self):
+        with pytest.raises(DomainError, match="expected a vector"):
+            as_point(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [
+        complex(math.inf, 0.0), complex(-math.inf, 0.0), complex(0.0, math.inf),
+        complex(0.0, -math.inf), complex(math.nan, 0.0), complex(0.0, math.nan),
+    ], ids=["re-inf", "re-minus-inf", "im-inf", "im-minus-inf", "re-nan", "im-nan"])
+    def test_rejects_nonfinite_parts(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            as_point(np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_wrong_dim_raises(self, dim):
+        with pytest.raises(DimensionMismatchError):
+            as_point([0.1, 0.2j], dim=dim)
+
+    def test_covering_validates_once(self, monkeypatch):
+        # the generic-search domain; the probes reach the ambient ball's
+        # _gap unvalidated, since the covering built them from validated arrays
+        domain = SublevelDomain(
+            field=psh.norm_squared(2), level=1.0, ambient=Ball(np.zeros(2), 1.2),
+            seed=np.zeros(2), lipschitz=4.8,
+        )
+        calls = []
+        original = domains.as_point
+
+        def counted(z, dim=None):
+            calls.append(1)
+            return original(z, dim)
+
+        monkeypatch.setattr(domains, "as_point", counted)
+        res = domain.certify_affine_disc([0.2, 0.1j], [0.5, 0.3j], 0.99)
+        assert res.certified and res.oracle_calls >= 200  # two calls per probe
+        assert len(calls) <= 4
+
+
+def _near(x):
+    """x and its neighbours one ulp below and above."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def _bits(gap):
+    return None if gap is None else float.hex(gap)
+
+
+GAP_DOMAINS = {
+    "ball": unit_ball(2),
+    "polydisc": unit_bidisc(),
+    "ball-x-disc": ProductDomain((unit_ball(2), unit_disc())),
+    "sublevel-norm2": SublevelDomain(
+        field=psh.norm_squared(2), level=1.0, ambient=Ball(np.zeros(2), 1.2),
+        seed=np.zeros(2), lipschitz=4.8,
+    ),
+    "sublevel-two-wells": SublevelDomain(
+        field=two_wells(1.0), level=0.5, ambient=Ball(np.zeros(1), 3.0),
+        seed=np.array([-1.0 + 0j]), lipschitz=1.0,
+    ),
+}
+
+# boundary values of the unit ball and disc, of the ambient ball B(0, 1.2)
+# and of the two-wells discs, each with its one-ulp neighbours
+EDGE_VALUES = sorted({x for base in (0.0, 0.5, 1.0, 1.5, 1.2) for sign in (1, -1)
+                      for x in _near(sign * base)})
+
+
+def _coordinate():
+    real = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-1.6, 1.6))
+    return st.builds(complex, real, st.one_of(st.just(0.0), real))
+
+
+class TestGapMatchesPublicOracles:
+    @pytest.mark.parametrize("name", sorted(GAP_DOMAINS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_gap_is_distance_if_inside(self, name, data):
+        domain = GAP_DOMAINS[name]
+        z = as_point(data.draw(st.lists(_coordinate(), min_size=domain.dim,
+                                        max_size=domain.dim)))
+        expected = domain.boundary_distance(z) if domain.contains(z) else None
+        assert _bits(domain._gap(z)) == _bits(expected)
+        # so does the default _gap that subclasses without closed forms inherit
+        assert _bits(DomainOracle._gap(domain, z)) == _bits(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(point=st.lists(_coordinate(), min_size=2, max_size=2))
+    @example(point=[1.0, 0.0])
+    @example(point=[0.0, 1.0j])
+    @example(point=[math.nextafter(1.0, 0.0), 0.0])
+    @example(point=[math.nextafter(1.0, 2.0), 0.0])
+    @example(point=[0.6, 0.8j])
+    def test_closed_forms_match_separate_predicates(self, point):
+        # the merged test radius - norm > 0 gives what the separate
+        # predicate norm < radius and the distance radius - norm give
+        z = as_point(point)
+        norm = float(np.linalg.norm(z))
+        assert _bits(unit_ball(2)._gap(z)) == _bits(1.0 - norm if norm < 1.0 else None)
+        offsets = np.abs(z)
+        gap = float(np.min(1.0 - offsets)) if np.all(offsets < 1.0) else None
+        assert _bits(unit_bidisc()._gap(z)) == _bits(gap)
