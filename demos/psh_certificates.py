@@ -9,7 +9,6 @@ proposed defining function and rejects certified violations.
 import numpy as np
 
 from koblab import (
-    CandidateGridSpec,
     DyadicLadder,
     ScalarField,
     exp_norm_squared,
@@ -47,8 +46,7 @@ print("  cylinder {|z1|^2 = 1} at (1, 0):",
 
 print()
 print("== defining-function candidate suite ==")
-grid = CandidateGridSpec(radial_samples=5, directions_per_radius=6, ladder_depth=12)
-report = verify_defining_candidate(norm_squared(2), DyadicLadder(20), grid)
+report = verify_defining_candidate(norm_squared(2), DyadicLadder(20))
 for check in report.checks:
     print(f"  {check.name:>24}: value {check.value:+.6f}  "
           f"{'ok' if check.passed else 'VIOLATION'}  ({check.samples} samples)")

@@ -4,9 +4,9 @@ The package brackets Kobayashi distances between sound lower bounds
 (distance-decreasing maps with closed forms) and certified upper bounds
 (chains of affine analytic discs whose containment is certified before any
 cost is reported), and builds verification experiments on top: exact ladder
-identities, slice-distance identities, Cauchy sequences that escape to the
-boundary, plurisubharmonicity certificates, almost-geodesic checks, and
-visibility sampling.
+identities, slice-distance identities, Cauchy tables (summable ladder steps
+with norms going to 0), plurisubharmonicity certificates, almost-geodesic
+checks, and visibility sampling.
 """
 
 __version__ = "0.1.0"
@@ -68,7 +68,6 @@ from .poincare import (
     poincare_distance,
 )
 from .psh import (
-    CandidateGridSpec,
     CandidateReport,
     LeviReport,
     ScalarField,

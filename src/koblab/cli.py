@@ -418,7 +418,7 @@ def _run_cauchy_demo(cfg: ExperimentConfig):
         return checks, artifacts
     checks.append(CheckResult("membership", PASS, f"{cfg.depth} points certified"))
 
-    terms = chain_term_table(ladder, depth=cfg.depth)
+    terms = chain_term_table(ladder)
     bad = [
         row.nu
         for row in table.rows
@@ -703,7 +703,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     sp.add_argument("--fault", type=str, default=None, choices=["ladder-base3"])
     _add_common(sp)
 
-    sp = subs.add_parser("cauchy-demo", help="Cauchy sequence escaping to the boundary")
+    sp = subs.add_parser("cauchy-demo", help="Cauchy table: summable steps, norms to 0")
     sp.add_argument("--N", type=int, default=None, dest="depth")
     sp.add_argument("--dim", type=int, default=None, dest="dimension")
     sp.add_argument("--field", type=str, default=None, help="candidate field spec (JSON or path)")

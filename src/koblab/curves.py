@@ -64,14 +64,6 @@ class SampledCurve:
     def max_point_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.points, axis=1)))
 
-    def to_json_dict(self) -> dict:
-        # interleave re/im per coordinate: [re1, im1, re2, im2, ...]
-        k, n = self.points.shape
-        inter = np.empty((k, 2 * n))
-        inter[:, 0::2] = self.points.real
-        inter[:, 1::2] = self.points.imag
-        return {"params": self.params.tolist(), "points": inter.tolist()}
-
 
 def concatenate(curves: list[SampledCurve]) -> SampledCurve:
     """Stitch curves end to start, accumulating parameter offsets.

@@ -18,6 +18,9 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+# DomainOracle.sample_point gives up after this many rejected draws
+SAMPLE_TRIES = 10_000
+
 
 class DomainError(ValueError):
     pass
@@ -165,10 +168,10 @@ class DomainOracle(ABC):
         """
         return _cover_certify(self._gap, self.dim, center, direction, rho, max_cells)
 
-    def sample_point(self, rng: np.random.Generator, max_tries: int = 10_000) -> np.ndarray:
+    def sample_point(self, rng: np.random.Generator) -> np.ndarray:
         """Rejection-sample a point of the domain from its enclosing ball."""
         center, radius = self.enclosing_ball()
-        for _ in range(max_tries):
+        for _ in range(SAMPLE_TRIES):
             cand = center + radius * _unit_ball_sample(rng, self.dim)
             if self.contains(cand):
                 return cand

@@ -35,6 +35,15 @@ PASS = "pass"
 FAIL = "fail"
 INDETERMINATE = "indeterminate"
 
+# oracle budget of each condition-(a) distance bracket
+PAIR_BUDGET = 4000
+# visibility_experiment: checker samples per curve and curve samples per link
+VISIBILITY_PAIR_SAMPLES = 16
+VISIBILITY_SPEED_SAMPLES = 8
+VISIBILITY_SAMPLES_PER_DISC = 120
+# sample_cap_points gives up after drawing this many offsets
+CAP_STREAM_LIMIT = 100_000
+
 
 def build_chain_curve(
     domain: DomainOracle, chain: DiscChain, samples_per_disc: int = 200
@@ -104,7 +113,6 @@ def check_almost_geodesic(
     pair_samples: int = 24,
     speed_samples: int = 12,
     seed: int = 0,
-    budget_per_pair: int = 4000,
     margin: float = 1e-3,
 ) -> AlmostGeodesicVerdict:
     """Sample conditions (a) and (b) with certified brackets.
@@ -137,7 +145,7 @@ def check_almost_geodesic(
     for i, j in sorted(index_pairs):
         s, t = float(curve.params[i]), float(curve.params[j])
         est = estimate_distance(
-            domain, curve.points[i], curve.points[j], budget=budget_per_pair, margin=margin
+            domain, curve.points[i], curve.points[j], budget=PAIR_BUDGET, margin=margin
         )
         band_low = max(0.0, abs(s - t) / lam - kappa)
         band_high = lam * abs(s - t) + kappa
@@ -263,7 +271,6 @@ def sample_cap_points(
     count: int,
     rng: np.random.Generator,
     r_cap: float | None = None,
-    stream_cap: int = 100_000,
 ) -> list[np.ndarray]:
     """In-domain points within r_nbhd of an anchor, from an r_cap-scaled stream.
 
@@ -277,7 +284,7 @@ def sample_cap_points(
         raise ValueError("r_cap must be at least r_nbhd")
     out = []
     stream = _offset_stream(rng, domain.dim, scale)
-    for _ in range(stream_cap):
+    for _ in range(CAP_STREAM_LIMIT):
         if len(out) >= count:
             break
         vec = next(stream)
@@ -302,9 +309,6 @@ def visibility_experiment(
     kappa: float = 0.2,
     n_curves: int = 50,
     seed: int = 0,
-    pair_samples: int = 16,
-    speed_samples: int = 8,
-    samples_per_disc: int = 120,
     budget: int = 20_000,
     margin: float = 1e-3,
     r_cap: float | None = None,
@@ -333,14 +337,14 @@ def visibility_experiment(
         if chain is None:
             rows.append(VisibilityCurveRow(idx, za, wb, "no-chain", None, None))
             continue
-        curve = build_chain_curve(domain, chain, samples_per_disc)
+        curve = build_chain_curve(domain, chain, VISIBILITY_SAMPLES_PER_DISC)
         verdict = check_almost_geodesic(
             domain,
             curve,
             lam,
             kappa,
-            pair_samples=pair_samples,
-            speed_samples=speed_samples,
+            pair_samples=VISIBILITY_PAIR_SAMPLES,
+            speed_samples=VISIBILITY_SPEED_SAMPLES,
             seed=seed + idx,
             margin=margin,
         )

@@ -43,6 +43,15 @@ BRACKET_TOL = 1e-12
 BISECTION_CENTERS = (0.5, 0.5 + 0.3j, 0.5 - 0.3j, 0.25, 0.75)
 PROBE_CELLS = 512
 BALL_CHAIN_DEPTH = 8
+# infinitesimal_bounds: the radius bisection stops at this relative width or
+# after this many steps; each disc certification gets this covering allowance
+METRIC_TOL = 1e-8
+METRIC_BISECTIONS = 64
+METRIC_CELLS = 2048
+# slice_identity_check: sampled points per side of the slice hypothesis, and
+# the slack allowed between the two brackets
+HYPOTHESIS_SAMPLES = 32
+SLICE_TOL = 1e-9
 
 
 class EstimationError(ValueError):
@@ -280,7 +289,10 @@ def chain_upper_bound(
             raise UncertifiedDiscError(
                 f"link {i}: disc not certified ({result.status.value})"
             )
-        total += poincare_distance(link.zeta_in / rho, link.zeta_out / rho)
+        try:
+            total += poincare_distance(link.zeta_in / rho, link.zeta_out / rho)
+        except poincare.DiscPointError as exc:
+            raise EstimationError(f"link {i}: cost not representable ({exc})") from exc
     return total
 
 
@@ -397,7 +409,9 @@ def _slice_geometry(
     """Cost, working radius and parameters of a link from D(zc, rc) through 0, 1.
 
     The working radius shrinks rc by the margin but never past the
-    parameters themselves; None when 0 or 1 lies outside D(zc, rc).
+    parameters themselves; None when 0 or 1 lies outside D(zc, rc), when a
+    parameter rounds onto the unit circle, or when the pseudo-distance
+    rounds to MAX_ABS (atanh of the cap would understate the cost).
     """
     reach = max(abs(0 - zc), abs(1 - zc))
     if reach >= rc:
@@ -411,7 +425,9 @@ def _slice_geometry(
     # |zeta_in - zeta_out| = 1 / radius exactly; subtracting the stored
     # parameters instead would wipe out tiny separations
     m = (1.0 / radius) / abs(1.0 - zeta_out.conjugate() * zeta_in)
-    return math.atanh(min(m, poincare.MAX_ABS)), radius, zeta_in, zeta_out
+    if m >= poincare.MAX_ABS or max(abs(zeta_in), abs(zeta_out)) >= 1.0:
+        return None
+    return math.atanh(m), radius, zeta_in, zeta_out
 
 
 def _slice_link(
@@ -714,14 +730,7 @@ def estimate_distance(
     )
 
 
-def infinitesimal_bounds(
-    domain: DomainOracle,
-    z,
-    v,
-    tol: float = 1e-8,
-    max_iterations: int = 64,
-    max_cells: int = 2048,
-) -> MetricEstimate:
+def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
     """Bracket for the infinitesimal metric k(z; v).
 
     Upper bound: ||v|| / r for the largest certified radius r of the affine
@@ -745,7 +754,7 @@ def infinitesimal_bounds(
     rho = 1.0 - 1e-9
 
     def certified(r: float) -> bool:
-        res = domain.certify_affine_disc(z, r * unit, rho, max_cells=max_cells)
+        res = domain.certify_affine_disc(z, r * unit, rho, max_cells=METRIC_CELLS)
         return res.certified
 
     lo = domain.boundary_distance(z) * 0.5
@@ -760,8 +769,8 @@ def infinitesimal_bounds(
         hi *= 2.0
         if lo > 8.0 * enclosing_radius:
             raise EstimationError("certified radius exceeds the enclosing ball")
-    for _ in range(max_iterations):
-        if hi - lo <= tol * max(lo, 1e-12):
+    for _ in range(METRIC_BISECTIONS):
+        if hi - lo <= METRIC_TOL * max(lo, 1e-12):
             break
         mid = 0.5 * (lo + hi)
         if certified(mid):
@@ -779,7 +788,7 @@ def infinitesimal_bounds(
         xi0 = -zc / (rc * rho)
         if abs(xi0) < 1.0:
             result = domain.certify_affine_disc(
-                z + zc * unit, (rc * rho) * unit, 1.0, max_cells=max_cells
+                z + zc * unit, (rc * rho) * unit, 1.0, max_cells=METRIC_CELLS
             )
             if result.certified:
                 unit_upper = min(unit_upper, 1.0 / (rc * rho * (1.0 - abs(xi0) ** 2)))
@@ -802,17 +811,6 @@ class SliceIdentityReport:
     intersection: tuple[float, float] | None
     transfer_used: bool
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "z": [[c.real, c.imag] for c in self.z],
-            "w": [[c.real, c.imag] for c in self.w],
-            "base": self.base_estimate.to_json_dict(),
-            "total": self.total_estimate.to_json_dict(),
-            "intersection": list(self.intersection) if self.intersection else None,
-            "transfer_used": self.transfer_used,
-            "passed": self.passed,
-        }
 
 
 def _lift_chain(chain: DiscChain, n: int) -> DiscChain:
@@ -837,8 +835,6 @@ def slice_identity_check(
     w,
     budget: int = 10_000,
     margin: float = 1e-3,
-    tol: float = 1e-9,
-    hypothesis_samples: int = 32,
     seed: int = 0,
 ) -> SliceIdentityReport:
     """Check that distances agree between a domain and its zero-section slice.
@@ -854,7 +850,7 @@ def slice_identity_check(
     z = as_point(z, m)
     w = as_point(w, m)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for _ in range(hypothesis_samples):
+    for _ in range(HYPOTHESIS_SAMPLES):
         g = base.sample_point(rng)
         if not total.contains(sl.embed(g)):
             raise SliceHypothesisError(
@@ -918,8 +914,8 @@ def slice_identity_check(
         slack = est_base.upper * 2.0 * transfer_margin_used
         passed = (
             intersection is not None
-            and est_total.upper <= est_base.upper + slack + tol
-            and est_total.lower >= est_base.lower - tol
+            and est_total.upper <= est_base.upper + slack + SLICE_TOL
+            and est_total.lower >= est_base.lower - SLICE_TOL
         )
     return SliceIdentityReport(
         z=z,
@@ -946,7 +942,9 @@ class CauchyTable:
 
     T(M) = sum_{nu >= M} U(nu), extended past the table depth by the
     geometric ratio certificate, decreases to 0 while the point norms also
-    decrease to 0: a distance-Cauchy sequence escaping to the boundary.
+    decrease to 0: the steps are summable, so the points form a
+    distance-Cauchy sequence.  Where its limit lies is not certified; on the
+    unit bidisc it is the interior point 0.
     """
 
     rows: tuple[CauchyRow, ...]
@@ -960,10 +958,11 @@ def cauchy_table(
     n: int,
     depth: int | None = None,
     margin: float = 1e-3,
-    ratio: float = TAIL_RATIO,
 ) -> CauchyTable:
-    """Certified Cauchy-escape table for the zero-padded ladder points.
+    """Certified Cauchy table for the zero-padded ladder points.
 
+    It certifies summable steps (a geometric tail bound at TAIL_RATIO) and
+    point norms decreasing to 0, not that the limit lies on the boundary.
     Every padded point must be certified inside the domain; the offending
     index is reported otherwise.  U(nu) is the cost of the embedded ladder
     disc between consecutive points, certified at the working margin.
@@ -1004,14 +1003,14 @@ def cauchy_table(
         uppers[nu - 1] = poincare_distance(float(zin) / rho, float(zout) / rho)
 
     observed = uppers[1:] / uppers[:-1]
-    if observed.size and float(np.max(observed)) > ratio:
+    if observed.size and float(np.max(observed)) > TAIL_RATIO:
         raise EstimationError(
-            f"observed step ratio {np.max(observed):.6f} exceeds certificate ratio {ratio}"
+            f"observed step ratio {np.max(observed):.6f} exceeds certificate ratio {TAIL_RATIO}"
         )
-    beyond = uppers[-1] * ratio / (1.0 - ratio)
+    beyond = uppers[-1] * TAIL_RATIO / (1.0 - TAIL_RATIO)
     tails = np.cumsum(uppers[::-1])[::-1] + beyond
     rows = []
     for nu in range(1, depth):
         norm = float(np.linalg.norm(points[nu - 1]))
         rows.append(CauchyRow(nu=nu, upper=float(uppers[nu - 1]), tail=float(tails[nu - 1]), norm=norm))
-    return CauchyTable(rows=tuple(rows), ratio=ratio, margin=margin)
+    return CauchyTable(rows=tuple(rows), ratio=TAIL_RATIO, margin=margin)

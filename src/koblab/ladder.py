@@ -30,10 +30,6 @@ def _dyadic_a(nu: int) -> Fraction:
     return Fraction(1, 4 ** (nu + 1))
 
 
-def _dyadic_b(nu: int) -> Fraction:
-    return Fraction(1, 2 ** (nu + 1))
-
-
 @dataclass(frozen=True)
 class LadderSegment:
     """One segment: z2 = slope * z1 + intercept for |z1| <= radius."""
@@ -52,13 +48,12 @@ class DyadicLadder:
     """Ladder scales with exact accessors.
 
     ``depth`` bounds the index range 1..depth used by verification and the
-    term tables.  ``a_fn`` / ``b_fn`` override the dyadic scales for fault
+    term tables.  ``a_fn`` overrides the dyadic scale a(nu) for fault
     injection only.
     """
 
     depth: int
     a_fn: Callable[[int], Fraction] = _dyadic_a
-    b_fn: Callable[[int], Fraction] = _dyadic_b
 
     def __post_init__(self):
         if self.depth < 1:
@@ -72,7 +67,7 @@ class DyadicLadder:
     def b(self, nu: int) -> Fraction:
         if nu < 1:
             raise ValueError("indices start at 1")
-        return self.b_fn(nu)
+        return Fraction(1, 2 ** (nu + 1))
 
     def segment(self, nu: int) -> LadderSegment:
         a0, a1 = self.a(nu), self.a(nu + 1)
@@ -132,8 +127,8 @@ class LadderReport:
         return all(c.passed for c in self.checks if c.item == item)
 
 
-def verify_ladder(ladder: DyadicLadder, depth: int | None = None) -> LadderReport:
-    """Exact verification of the ladder identities up to ``depth``.
+def verify_ladder(ladder: DyadicLadder) -> LadderReport:
+    """Exact verification of the ladder identities up to the ladder's depth.
 
     Item (a): marked points lie on their segments and their norms decrease
     strictly to 0.  Item (b): each disc map satisfies its segment's line
@@ -143,7 +138,7 @@ def verify_ladder(ladder: DyadicLadder, depth: int | None = None) -> LadderRepor
     feed the distance-term table).  Everything is checked in rational
     arithmetic; failures carry witnesses.
     """
-    depth = ladder.depth if depth is None else depth
+    depth = ladder.depth
     if depth < 2:
         raise ValueError("need depth >= 2 to compare consecutive points")
     checks: list[LadderCheck] = []
@@ -273,13 +268,9 @@ class ChainTermTable:
         return computed + float(self.tail_bounds[-1])
 
 
-def chain_term_table(
-    ladder: DyadicLadder, depth: int | None = None, ratio: float = TAIL_RATIO
-) -> ChainTermTable:
+def chain_term_table(ladder: DyadicLadder) -> ChainTermTable:
     """Distance terms, partial sums, and certified geometric tail bounds."""
-    depth = ladder.depth if depth is None else depth
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth = ladder.depth
     nus = np.arange(1, depth + 1)
     terms = np.empty(depth)
     for i, nu in enumerate(nus):
@@ -288,15 +279,15 @@ def chain_term_table(
     if np.any(terms <= 0) or np.any(np.diff(terms) >= 0):
         raise ValueError("terms must be positive and strictly decreasing")
     observed = terms[1:] / terms[:-1]
-    if observed.size and float(np.max(observed)) > ratio:
+    if observed.size and float(np.max(observed)) > TAIL_RATIO:
         raise ValueError(
-            f"observed ratio {np.max(observed):.6f} exceeds the certificate ratio {ratio}"
+            f"observed ratio {np.max(observed):.6f} exceeds the certificate ratio {TAIL_RATIO}"
         )
     partial = np.cumsum(terms)
     # tail after nu (exclusive): term(nu) * r / (1 - r)
-    tails = terms * (ratio / (1.0 - ratio))
+    tails = terms * (TAIL_RATIO / (1.0 - TAIL_RATIO))
     return ChainTermTable(
-        nus=nus, terms=terms, partial_sums=partial, tail_bounds=tails, ratio=ratio
+        nus=nus, terms=terms, partial_sums=partial, tail_bounds=tails, ratio=TAIL_RATIO
     )
 
 

@@ -33,13 +33,19 @@ def as_disc_point(z) -> complex:
 
 
 def poincare_distance(z, w) -> float:
-    """Hyperbolic distance between two points of the unit disc."""
+    """Hyperbolic distance between two points of the unit disc.
+
+    Raises DiscPointError when the pseudo-distance rounds to MAX_ABS or
+    more: a clamped value would understate the distance.
+    """
     z = as_disc_point(z)
     w = as_disc_point(w)
     # separate moduli keep the value exactly symmetric in (z, w): the two
     # denominators are conjugates, so their moduli are bit-identical
     m = abs(z - w) / abs(1.0 - w.conjugate() * z)
-    return math.atanh(min(m, MAX_ABS))
+    if m >= MAX_ABS:
+        raise DiscPointError(f"pseudo-distance {m!r} reaches the {MAX_ABS!r} cap")
+    return math.atanh(m)
 
 
 def mobius_transport(a, z) -> complex:

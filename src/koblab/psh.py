@@ -21,6 +21,13 @@ import numpy as np
 
 from .domains import as_point
 
+# finite-difference step of the Levi form and gradient estimates
+FD_STEP = 1e-4
+# strong_pseudoconvexity_check: how far f(p) may sit off the requested
+# level, and the complex-gradient norm below which p counts as critical
+LEVEL_TOL = 1e-6
+GRAD_FLOOR = 1e-10
+
 
 class FieldEvaluationError(ValueError):
     pass
@@ -89,31 +96,32 @@ def signature_quadratic(coeffs: Sequence[float]) -> ScalarField:
     )
 
 
-def pluriharmonic_re_square(dim: int, index: int = 0) -> ScalarField:
-    """Re(z_j^2): pluriharmonic, so its complex Hessian vanishes."""
+def pluriharmonic_re_square(dim: int) -> ScalarField:
+    """Re(z_1^2): pluriharmonic, so its complex Hessian vanishes."""
     def grad(z):
         g = np.zeros(dim, dtype=complex)
-        g[index] = 2.0 * np.conj(z[index])
+        g[0] = 2.0 * np.conj(z[0])
         return g
 
     return ScalarField(
         dim=dim,
-        evaluate=lambda z: float((z[index] ** 2).real),
+        evaluate=lambda z: float((z[0] ** 2).real),
         gradient=grad,
         complex_hessian=lambda z: np.zeros((dim, dim), dtype=complex),
         name="re-square",
     )
 
 
-def linear_re(dim: int, index: int = 0) -> ScalarField:
+def linear_re(dim: int) -> ScalarField:
+    """Re(z_1)."""
     def grad(z):
         g = np.zeros(dim, dtype=complex)
-        g[index] = 1.0
+        g[0] = 1.0
         return g
 
     return ScalarField(
         dim=dim,
-        evaluate=lambda z: float(z[index].real),
+        evaluate=lambda z: float(z[0].real),
         gradient=grad,
         complex_hessian=lambda z: np.zeros((dim, dim), dtype=complex),
         name="linear-re",
@@ -177,7 +185,7 @@ def _hessian(f: ScalarField, z: np.ndarray, step: float) -> tuple[np.ndarray, st
 
 
 def levi_min_eigenvalue(
-    f: ScalarField, z, step: float = 1e-4, estimate_error: bool = False
+    f: ScalarField, z, step: float = FD_STEP, estimate_error: bool = False
 ) -> LeviReport:
     """Smallest eigenvalue of the complex Hessian at z.
 
@@ -225,20 +233,13 @@ def _gradient(f: ScalarField, z: np.ndarray, step: float) -> np.ndarray:
     return gradient_field_fd(f, z, step)
 
 
-def gradient_nonvanishing(f: ScalarField, z, step: float = 1e-4) -> float:
+def gradient_nonvanishing(f: ScalarField, z, step: float = FD_STEP) -> float:
     """Euclidean norm of the real gradient estimate at z."""
     z = as_point(z, f.dim)
     return float(np.linalg.norm(_gradient(f, z, step)))
 
 
-def strong_pseudoconvexity_check(
-    f: ScalarField,
-    p,
-    step: float = 1e-4,
-    level: float | None = None,
-    level_tol: float = 1e-6,
-    grad_floor: float = 1e-10,
-) -> float:
+def strong_pseudoconvexity_check(f: ScalarField, p, level: float | None = None) -> float:
     """Minimum of the Levi form over unit complex tangent vectors at p.
 
     The complex tangent space of {f = f(p)} at p is the kernel of the complex
@@ -246,14 +247,14 @@ def strong_pseudoconvexity_check(
     pseudoconvexity at p up to discretization error.
     """
     p = as_point(p, f.dim)
-    if level is not None and abs(f(p) - level) > level_tol:
-        raise ValueError(f"point is not on the level set (|f - level| > {level_tol})")
-    packed = _gradient(f, p, step)
+    if level is not None and abs(f(p) - level) > LEVEL_TOL:
+        raise ValueError(f"point is not on the level set (|f - level| > {LEVEL_TOL})")
+    packed = _gradient(f, p, FD_STEP)
     # complex gradient: df/dz_j = (df/dx_j - i df/dy_j) / 2
     cgrad = 0.5 * (packed.real - 1j * packed.imag)
-    if np.linalg.norm(cgrad) <= grad_floor:
+    if np.linalg.norm(cgrad) <= GRAD_FLOOR:
         raise GradientVanishesError("complex tangent space undefined at a critical point")
-    H, _ = _hessian(f, p, step)
+    H, _ = _hessian(f, p, FD_STEP)
     basis = np.linalg.svd(cgrad.reshape(1, -1))[2][1:].conj().T
     if basis.shape[1] == 0:
         raise GradientVanishesError("empty complex tangent space")
@@ -308,22 +309,23 @@ def lift_quadratic_tail(u: ScalarField, n: int) -> ScalarField:
     )
 
 
-@dataclass(frozen=True)
-class CandidateGridSpec:
-    """Sampling plan for defining-function candidate verification."""
-
-    ambient_radius: float = 3.0
-    exclusion_radius: float = 1e-3
-    radial_samples: int = 10
-    directions_per_radius: int = 12
-    ladder_depth: int = 20
-    segment_radial: int = 4
-    segment_angular: int = 10
-    sphere_radii: tuple[float, ...] = (2.9, 2.95, 2.99, 2.999)
-    sphere_samples: int = 48
-    levi_step: float = 1e-4
-    value_tol: float = 1e-9
-    seed: int = 0
+# verify_defining_candidate's sampling plan on the radius-3 ball: Levi and
+# gradient checks at DIRECTIONS_PER_RADIUS seeded directions on each of
+# RADIAL_SAMPLES radii from EXCLUSION_RADIUS out, the marked points and a
+# SEGMENT_RADIAL x SEGMENT_ANGULAR polar grid of each of the first
+# LADDER_DEPTH ladder discs, and SPHERE_SAMPLES seeded points on each
+# near-boundary sphere
+CANDIDATE_RADIUS = 3.0
+EXCLUSION_RADIUS = 1e-3
+RADIAL_SAMPLES = 10
+DIRECTIONS_PER_RADIUS = 12
+LADDER_DEPTH = 20
+SEGMENT_RADIAL = 4
+SEGMENT_ANGULAR = 10
+SPHERE_RADII = (2.9, 2.95, 2.99, 2.999)
+SPHERE_SAMPLES = 48
+VALUE_TOL = 1e-9
+CANDIDATE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -364,9 +366,7 @@ def _unit_directions(rng: np.random.Generator, dim: int, count: int) -> np.ndarr
     return vecs[:, :dim] + 1j * vecs[:, dim:]
 
 
-def verify_defining_candidate(
-    u: ScalarField, ladder, grid: CandidateGridSpec | None = None
-) -> CandidateReport:
+def verify_defining_candidate(u: ScalarField, ladder) -> CandidateReport:
     """Run the candidate property suite for a field on the radius-3 ball.
 
     ``ladder`` supplies the segment family the candidate must stay below 1
@@ -374,47 +374,44 @@ def verify_defining_candidate(
     sample count and tolerance.  No grid can prove the properties; the
     report states margins, and a certified violation rejects the candidate.
     """
-    grid = grid or CandidateGridSpec()
     if u.dim != 2:
         raise ValueError("candidate must live on C^2")
-    rng = np.random.Generator(np.random.Philox(key=grid.seed))
+    rng = np.random.Generator(np.random.Philox(key=CANDIDATE_SEED))
 
-    radii = np.geomspace(
-        grid.exclusion_radius, grid.ambient_radius * 0.999, grid.radial_samples
-    )
+    radii = np.geomspace(EXCLUSION_RADIUS, CANDIDATE_RADIUS * 0.999, RADIAL_SAMPLES)
     min_eig = math.inf
     min_grad = math.inf
     annulus = 0
     for r in radii:
-        for direction in _unit_directions(rng, 2, grid.directions_per_radius):
+        for direction in _unit_directions(rng, 2, DIRECTIONS_PER_RADIUS):
             z = r * direction
-            min_eig = min(min_eig, levi_min_eigenvalue(u, z, grid.levi_step).min_eigenvalue)
-            min_grad = min(min_grad, gradient_nonvanishing(u, z, grid.levi_step))
+            min_eig = min(min_eig, levi_min_eigenvalue(u, z).min_eigenvalue)
+            min_grad = min(min_grad, gradient_nonvanishing(u, z))
             annulus += 1
 
     value_at_zero = u(np.zeros(2, dtype=complex))
 
     x_max = -math.inf
     x_samples = 0
-    for nu in range(1, grid.ladder_depth + 1):
+    for nu in range(1, LADDER_DEPTH + 1):
         x_max = max(x_max, u(ladder.point_complex(nu)))
         x_samples += 1
-        for rho in np.linspace(0.0, 1.0, grid.segment_radial + 1)[1:]:
-            for theta in np.linspace(0.0, 2 * math.pi, grid.segment_angular, endpoint=False):
+        for rho in np.linspace(0.0, 1.0, SEGMENT_RADIAL + 1)[1:]:
+            for theta in np.linspace(0.0, 2 * math.pi, SEGMENT_ANGULAR, endpoint=False):
                 zeta = rho * complex(math.cos(theta), math.sin(theta))
                 x_max = max(x_max, u(ladder.segment_point(nu, zeta)))
                 x_samples += 1
 
     sphere_min = math.inf
     sphere_count = 0
-    for radius in grid.sphere_radii:
-        for direction in _unit_directions(rng, 2, grid.sphere_samples):
+    for radius in SPHERE_RADII:
+        for direction in _unit_directions(rng, 2, SPHERE_SAMPLES):
             sphere_min = min(sphere_min, u(radius * direction))
             sphere_count += 1
 
     checks = (
         CandidateCheck(
-            "strict-psh", min_eig, 0.0, ">", min_eig > 0.0, annulus, grid.levi_step
+            "strict-psh", min_eig, 0.0, ">", min_eig > 0.0, annulus, FD_STEP
         ),
         CandidateCheck(
             "gradient-nonvanishing",
@@ -423,16 +420,16 @@ def verify_defining_candidate(
             ">",
             min_grad > 0.0,
             annulus,
-            grid.levi_step,
+            FD_STEP,
         ),
         CandidateCheck(
             "value-at-origin",
             value_at_zero,
             1.0,
             "abs<=",
-            abs(value_at_zero - 1.0) <= grid.value_tol,
+            abs(value_at_zero - 1.0) <= VALUE_TOL,
             1,
-            grid.value_tol,
+            VALUE_TOL,
         ),
         CandidateCheck(
             "below-one-on-segments",

@@ -20,7 +20,6 @@ from koblab.geodesics import build_chain_curve, check_almost_geodesic, visibilit
 from koblab.kobayashi import estimate_distance, infinitesimal_bounds, slice_identity_check
 from koblab.ladder import DyadicLadder, chain_term_table, verify_ladder
 from koblab.psh import (
-    CandidateGridSpec,
     ScalarField,
     exp_norm_squared,
     levi_min_eigenvalue,
@@ -201,13 +200,9 @@ def test_criterion_7_levi_suite():
         vec = rng.normal(size=4)
         vec /= np.linalg.norm(vec)
         p = vec[:2] + 1j * vec[2:]
-        margins.append(strong_pseudoconvexity_check(bare_sphere, p, step=1e-4, level=1.0))
+        margins.append(strong_pseudoconvexity_check(bare_sphere, p, level=1.0))
     sphere_ok = all(abs(m - 1.0) <= 1e-3 for m in margins)
-    control = verify_defining_candidate(
-        norm_squared(2), DyadicLadder(20),
-        CandidateGridSpec(radial_samples=4, directions_per_radius=4, ladder_depth=10,
-                          segment_radial=2, segment_angular=4, sphere_samples=8),
-    )
+    control = verify_defining_candidate(norm_squared(2), DyadicLadder(20))
     ok = ratio1 >= 3.0 and ratio2 >= 3.0 and sphere_ok and not control.accepted
     report(
         7,

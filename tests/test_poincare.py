@@ -45,6 +45,12 @@ class TestPoincareDistance:
         with pytest.raises(DiscPointError):
             poincare_distance(0, complex("inf"))
 
+    def test_rejects_saturated_pair(self):
+        # m rounds to 1 for z = -w = 1 - 1e-8; atanh of the cap would report
+        # 17.6 for a distance of 19.1
+        with pytest.raises(DiscPointError):
+            poincare_distance(1 - 1e-8, -(1 - 1e-8))
+
     def test_symmetry_exact_random(self):
         rng = np.random.Generator(np.random.Philox(key=7))
         for _ in range(300):

@@ -7,7 +7,6 @@ import pytest
 
 from koblab.ladder import DyadicLadder
 from koblab.psh import (
-    CandidateGridSpec,
     GradientVanishesError,
     ScalarField,
     complex_hessian_fd,
@@ -107,7 +106,7 @@ class TestStrongPseudoconvexity:
         # p on {f = 1}: 2x^2 + y^2 = 1 along the real slice
         p = np.array([0.5, math.sqrt(0.5)])
         assert abs(field(p) - 1.0) < 1e-12
-        val = strong_pseudoconvexity_check(field, p, step=1e-4, level=1.0)
+        val = strong_pseudoconvexity_check(field, p, level=1.0)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize(
@@ -119,7 +118,7 @@ class TestStrongPseudoconvexity:
         field = ScalarField(n, f)
         p = np.zeros(n)
         p[0] = 1.0
-        val = strong_pseudoconvexity_check(field, p, step=1e-4)
+        val = strong_pseudoconvexity_check(field, p)
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_scaling_covariance(self):
@@ -127,11 +126,11 @@ class TestStrongPseudoconvexity:
         tripled = ScalarField(2, lambda z: 3.0 * field.evaluate(z))
         # same point: the tangent space is unchanged, the form scales (the
         # scaled field has no analytic suppliers, so fd tolerance applies)
-        v1 = strong_pseudoconvexity_check(field, [1.0, 0.0], step=1e-4)
-        v3 = strong_pseudoconvexity_check(tripled, [1.0, 0.0], step=1e-4)
+        v1 = strong_pseudoconvexity_check(field, [1.0, 0.0])
+        v3 = strong_pseudoconvexity_check(tripled, [1.0, 0.0])
         assert v3 == pytest.approx(3.0 * v1, rel=1e-6)
         # and on the rescaled level set of the scaled field
-        v3b = strong_pseudoconvexity_check(tripled, [math.sqrt(1 / 3), 0.0], step=1e-4)
+        v3b = strong_pseudoconvexity_check(tripled, [math.sqrt(1 / 3), 0.0])
         assert v3b == pytest.approx(3.0 * v1, rel=1e-6)
 
     def test_vanishing_gradient_rejected(self):
@@ -173,15 +172,9 @@ class TestLift:
             lift_quadratic_tail(norm_squared(2), 2)
 
 
-QUICK_GRID = CandidateGridSpec(
-    radial_samples=4, directions_per_radius=4, ladder_depth=6,
-    segment_radial=2, segment_angular=4, sphere_samples=8,
-)
-
-
 class TestCandidateSuite:
     def test_quadratic_negative_control_rejected(self):
-        report = verify_defining_candidate(norm_squared(2), DyadicLadder(20), QUICK_GRID)
+        report = verify_defining_candidate(norm_squared(2), DyadicLadder(20))
         assert not report.accepted
         assert "value-at-origin" in report.rejected_checks
         # the quadratic is genuinely strictly psh with nonvanishing gradient
@@ -191,7 +184,7 @@ class TestCandidateSuite:
 
     def test_exact_origin_value_has_zero_deviation(self):
         shifted = ScalarField(2, lambda z: 1.0 + float(np.sum(np.abs(z) ** 2)))
-        report = verify_defining_candidate(shifted, DyadicLadder(20), QUICK_GRID)
+        report = verify_defining_candidate(shifted, DyadicLadder(20))
         check = report.check("value-at-origin")
         assert check.passed and check.value == 1.0
         # but values exceed 1 on the segments, so the candidate is rejected
@@ -205,16 +198,16 @@ class TestCandidateSuite:
             return 0.0
 
         ladder = DyadicLadder(25)
-        grid = CandidateGridSpec(
-            radial_samples=2, directions_per_radius=2, ladder_depth=20,
-            segment_radial=1, segment_angular=2, sphere_samples=2,
-        )
-        verify_defining_candidate(ScalarField(2, recording), ladder, grid)
+        verify_defining_candidate(ScalarField(2, recording), ladder)
         for nu in range(1, 21):
             target = ladder.point_complex(nu)
             assert any(np.array_equal(s, target) for s in seen)
 
     def test_report_carries_sample_counts(self):
-        report = verify_defining_candidate(norm_squared(2), DyadicLadder(10), QUICK_GRID)
+        report = verify_defining_candidate(norm_squared(2), DyadicLadder(10))
         for check in report.checks:
             assert check.samples >= 1
+        # the fixed plan: 10 radii x 12 directions; 20 ladder discs, each its
+        # marked point plus a 4 x 10 polar grid; 4 spheres x 48 points
+        assert [c.samples for c in report.checks] == [120, 120, 1, 820, 192]
+        assert [c.tolerance for c in report.checks] == [1e-4, 1e-4, 1e-9, 0.0, 0.0]
