@@ -220,6 +220,8 @@ def parse_field_expression(expr: str, dim: int) -> ScalarField:
     }
 
     def evaluate(z):
+        if np.ndim(z) == 2:  # a batch of points, one per row
+            return np.array([evaluate(row) for row in z])
         local = dict(env)
         for name, j in names.items():
             local[name] = complex(z[j])

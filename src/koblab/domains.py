@@ -130,11 +130,23 @@ class DomainOracle(ABC):
     def _gap(self, z: np.ndarray) -> float | None:
         """``boundary_distance(z) if contains(z) else None`` for a validated vector.
 
-        The covering certifier calls it once per probe.  Subclasses with
-        closed forms override it to skip re-validating z; this default keeps
-        the public methods, and so their semantics and metering.
+        A subclass may override it to skip re-validating z, but it must keep
+        exactly that meaning.  This default calls the public methods, so a
+        subclass that defines only those keeps their semantics and metering.
         """
         return self.boundary_distance(z) if self.contains(z) else None
+
+    def _gaps(self, points: np.ndarray) -> np.ndarray:
+        """``_gap`` of each row of a validated (m, dim) array, NaN for None.
+
+        The covering certifier evaluates its probes through it, one batch at
+        a time.  A subclass may override it with a batched form, as long as
+        every row equals ``_gap`` of that row bit for bit.  This default loops
+        ``_gap`` over the rows, so it keeps whatever ``_gap`` means and meters.
+        """
+        return np.array(
+            [math.nan if gap is None else gap for gap in map(self._gap, points)], dtype=float
+        )
 
     @abstractmethod
     def enclosing_ball(self) -> tuple[np.ndarray, float]:
@@ -166,7 +178,7 @@ class DomainOracle(ABC):
         certified by ``boundary_distance``; subclasses with exact geometry
         override it with closed forms.
         """
-        return _cover_certify(self._gap, self.dim, center, direction, rho, max_cells)
+        return _cover_certify(self._gaps, self.dim, center, direction, rho, max_cells)
 
     def sample_point(self, rng: np.random.Generator) -> np.ndarray:
         """Rejection-sample a point of the domain from its enclosing ball."""
@@ -188,17 +200,42 @@ def _unit_ball_sample(rng: np.random.Generator, dim: int) -> np.ndarray:
     return vec[:dim] + 1j * vec[dim:]
 
 
+def _first(gaps: np.ndarray) -> float | None:
+    """The first entry of a batch of clearances, None for NaN (outside)."""
+    gap = float(gaps[0])
+    return None if math.isnan(gap) else gap
+
+
+# probes the covering evaluates per batch; bounds its working memory
+COVER_BATCH = 128
+# a split cell's children, in charging order, in units of their half-width
+_QUADRANTS = np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j])
+
+
 def _cover_certify(
-    clearance, dim: int, center, direction, rho: float, max_cells: int
+    clearances, dim: int, center, direction, rho: float, max_cells: int
 ) -> CertifyResult:
     """Quadtree covering of the closed parameter disc of radius rho.
 
-    ``clearance(z)`` is a certified lower bound on the distance from z to the
-    complement, None when z is outside; a probe is metered as two calls,
-    membership and distance.  A cell is certified when the clearance ball at
-    its (clamped) center covers the part of the cell inside the parameter
-    disc; it is a rejection witness when that point leaves the domain.
-    Budget exhaustion yields INDETERMINATE, never a verdict.
+    ``clearances(points)`` maps a validated (m, dim) array to one certified
+    lower bound on the distance to the complement per row, NaN for a row
+    outside.  A cell is certified when the clearance ball at its (clamped)
+    center covers the part of the cell inside the parameter disc; it is a
+    rejection witness when that point leaves the domain.  Cells that miss
+    the parameter disc are dropped unprobed.
+
+    The walk is level-synchronous: the root square circumscribing the disc,
+    then the children of every uncertified cell, in the order their parents
+    were probed, each parent's four children in ``_QUADRANTS`` order.  A
+    level's probes are evaluated in batches of at most ``COVER_BATCH`` rows.
+
+    The meter charges probes in that order: two calls (membership and
+    distance) per probe, one for a rejecting probe.  The first rejecting
+    probe is the witness; probes after it in its batch were evaluated but
+    are not charged.  The walk answers INDETERMINATE, charging nothing
+    more, before any probe that would take the calls past ``max_cells``,
+    and also when cells stay uncertified at half-width below rho * 2^-14.
+    A CERTIFIED disc is charged for every probe of the tree.
     """
     center = as_point(center, dim)
     direction = as_point(direction, dim)
@@ -208,7 +245,7 @@ def _cover_certify(
     if speed == 0.0:
         if max_cells < 1:
             return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=0)
-        inside = clearance(center) is not None
+        inside = _first(clearances(center[None])) is not None
         return CertifyResult(
             CertStatus.CERTIFIED if inside else CertStatus.REJECTED,
             rho,
@@ -216,39 +253,52 @@ def _cover_certify(
             oracle_calls=1,
         )
     calls = 0
-    # (center, half-width) cells, root square circumscribing the disc
-    stack: list[tuple[complex, float]] = [(0j, rho)]
-    pending: list[tuple[complex, float]] = []
-    while stack:
-        if calls + 2 > max_cells:  # a cell costs two calls
+    half = rho
+    level = [np.zeros(1, dtype=complex)]  # batches of cell centers
+    while True:
+        diagonal = half * math.sqrt(2.0)
+        finest = half < rho * 2.0 ** -14
+        uncertified = []
+        for cells in level:
+            # np.hypot, unlike np.abs, matches Python's abs of a complex
+            cells = cells[np.hypot(cells.real, cells.imag) - diagonal <= rho]
+            affordable = max(0, max_cells - calls) // 2  # a probe costs two calls
+            over_cap = cells.size > affordable
+            cells = cells[:affordable]
+            # clamp each center into the disc: probe = zeta_c / |zeta_c| * rho
+            radius = np.hypot(cells.real, cells.imag)
+            probes = cells.copy()
+            out = radius > rho
+            probes.real[out] = cells.real[out] / radius[out] * rho
+            probes.imag[out] = cells.imag[out] / radius[out] * rho
+            gaps = clearances(center + probes[:, None] * direction)
+            inside = gaps > 0
+            if not inside.all():
+                first = int(inside.argmin())
+                return CertifyResult(
+                    CertStatus.REJECTED, rho, witness=complex(probes[first]),
+                    oracle_calls=calls + 2 * first + 1,
+                )
+            calls += 2 * cells.size
+            if over_cap:
+                return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=calls)
+            offset = cells - probes
+            covered = gaps / speed >= np.hypot(offset.real, offset.imag) + diagonal
+            uncertified.append(cells[~covered])
+        parents = np.concatenate(uncertified)
+        if parents.size == 0:
+            return CertifyResult(CertStatus.CERTIFIED, rho, oracle_calls=calls)
+        if finest:
             return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=calls)
-        zeta_c, half = stack.pop()
-        if abs(zeta_c) - half * math.sqrt(2.0) > rho:
-            continue  # cell misses the parameter disc
-        probe = zeta_c
-        if abs(probe) > rho:
-            probe = probe / abs(probe) * rho
-        point = center + probe * direction
-        gap = clearance(point)
-        calls += 1
-        if gap is None:
-            return CertifyResult(
-                CertStatus.REJECTED, rho, witness=probe, oracle_calls=calls
-            )
-        calls += 1
-        reach = gap / speed
-        if reach >= abs(zeta_c - probe) + half * math.sqrt(2.0):
-            continue  # certified ball swallows the cell
-        if half < rho * 2.0 ** -14:
-            pending.append((zeta_c, half))
-            continue
-        quarter = half / 2.0
-        for dre in (-quarter, quarter):
-            for dim_ in (-quarter, quarter):
-                stack.append((zeta_c + complex(dre, dim_), quarter))
-    if pending:
-        return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=calls)
-    return CertifyResult(CertStatus.CERTIFIED, rho, oracle_calls=calls)
+        half /= 2.0
+        level = _children(parents, half)
+
+
+def _children(parents: np.ndarray, half: float):
+    """The quadtree children of ``parents``, in batches of ``COVER_BATCH``."""
+    step = COVER_BATCH // _QUADRANTS.size
+    for start in range(0, parents.size, step):
+        yield (parents[start : start + step, None] + half * _QUADRANTS).ravel()
 
 
 @dataclass(frozen=True)
@@ -270,6 +320,16 @@ class Ball(DomainOracle):
         # radius - norm > 0 exactly when norm < radius in IEEE arithmetic
         gap = self.radius - float(np.linalg.norm(z - self.center))
         return gap if gap > 0 else None
+
+    def _gaps(self, points):
+        # np.linalg.norm of a complex vector is sqrt(re . re + im . im); a
+        # stacked row @ column product takes the same dot per row
+        offset = points - self.center
+        re, im = offset.real, offset.imag
+        norm2 = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+        gaps = self.radius - np.sqrt(norm2[:, 0, 0])
+        gaps[gaps <= 0] = math.nan
+        return gaps
 
     def contains(self, z) -> bool:
         return self._gap(as_point(z, self.dim)) is not None
@@ -345,6 +405,11 @@ class Polydisc(DomainOracle):
         # |offset| < radius
         gap = float(np.min(self.radii - np.abs(z - self.center)))
         return gap if gap > 0 else None
+
+    def _gaps(self, points):
+        gaps = np.min(self.radii - np.abs(points - self.center), axis=1)
+        gaps[gaps <= 0] = math.nan
+        return gaps
 
     def contains(self, z) -> bool:
         return self._gap(as_point(z, self.dim)) is not None
@@ -448,6 +513,16 @@ class ProductDomain(DomainOracle):
             at += f.dim
         return min(gaps)
 
+    def _gaps(self, points):
+        # like _gap, a factor sees only the rows inside the earlier factors
+        gaps = np.full(len(points), math.inf)
+        at = 0
+        for f in self.factors:
+            inside = gaps > 0
+            gaps[inside] = np.minimum(gaps[inside], f._gaps(points[inside, at : at + f.dim]))
+            at += f.dim
+        return gaps
+
     def contains(self, z) -> bool:
         return self._gap(as_point(z, self.dim)) is not None
 
@@ -530,8 +605,14 @@ class SublevelDomain(DomainOracle):
     seed: np.ndarray
     lipschitz: float = math.nan  # required; the default is rejected
     dim: int = dataclass_field(init=False)
+    # field values at the rows of an (m, dim) array
+    _values: Callable[[np.ndarray], np.ndarray] = dataclass_field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        from .psh import ScalarField  # psh imports this module
+
         lipschitz = self.lipschitz
         if lipschitz is None or not 0 < lipschitz < math.inf:
             raise DomainError(
@@ -540,58 +621,90 @@ class SublevelDomain(DomainOracle):
         seed = as_point(self.seed, self.ambient.dim)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "dim", self.ambient.dim)
+        if isinstance(self.field, ScalarField):
+            values = self.field.values  # one vectorised call per batch
+        else:
+            field = self.field
+            values = lambda points: np.array([float(field(z)) for z in points])
+        object.__setattr__(self, "_values", values)
         if self._clearance(seed) is None:
             raise DomainError("seed is not in the sublevel set")
 
-    def _clearance(self, z: np.ndarray) -> float | None:
-        """Certified distance from z to the complement of the raw sublevel set.
+    def _clearances(self, points: np.ndarray) -> np.ndarray:
+        """Certified distance from each row to the complement of the raw sublevel set.
 
-        None when z is outside it; one evaluation of the ambient oracle and
-        of ``field`` otherwise.  Connectivity to the seed is not checked here
-        (the ambient's own membership, connectivity included, is).
+        NaN for a row outside it.  One batch of the ambient oracle's
+        ``_gaps``, then one batch of field values over the rows inside the
+        ambient, which are the only rows the field sees.  Connectivity to the
+        seed is not checked here (the ambient's own membership, connectivity
+        included, is).
         """
-        ambient_gap = self.ambient._gap(z)
-        if ambient_gap is None:
-            return None
-        val = float(self.field(z))
-        if not math.isfinite(val):
+        gaps = self.ambient._gaps(points)
+        inside = gaps > 0
+        vals = self._values(points[inside])
+        if not np.isfinite(vals).all():
             raise DomainError("field evaluated to a non-finite value")
-        if not val < self.level:
-            return None
-        return min(ambient_gap, (self.level - val) / self.lipschitz)
+        room = np.where(vals < self.level, (self.level - vals) / self.lipschitz, math.nan)
+        gaps[inside] = np.minimum(gaps[inside], room)
+        return gaps
+
+    def _clearance(self, z: np.ndarray) -> float | None:
+        """``_clearances`` of one validated vector, None outside."""
+        return _first(self._clearances(z[None]))
 
     def _segment_connected(self, z: np.ndarray, gap: float | None = None) -> Membership:
         """Cover the segment from the seed to z by overlapping clearance balls.
 
         ``gap``, z's own clearance when the caller has it, spares evaluating
         z again.  Each doubling keeps the clearances at t = k / pieces, which
-        are exact in binary, and evaluates only the new midpoints.
+        are exact in binary, and evaluates only the new midpoints, in batches
+        of at most ``COVER_BATCH``.
         """
         offset = z - self.seed
         target = np.linalg.norm(offset)
         if target == 0:
             return Membership.INSIDE
         pieces = 8
-        radii = [None] * pieces + [gap]
-        for _ in range(CONNECT_DEPTH):
-            t = np.linspace(0.0, 1.0, pieces + 1)
-            for k, radius in enumerate(radii):
-                if radius is None:
-                    radius = radii[k] = self._clearance(self.seed + t[k] * offset)
-                    if radius is None:
-                        return Membership.INDETERMINATE  # straight path exits
-            step = target / pieces
-            if all(radii[i] + radii[i + 1] > step for i in range(pieces)):
+        t = np.linspace(0.0, 1.0, pieces + 1)
+        if gap is None:
+            radii = self._walk_clearances(t, offset)
+        else:
+            radii = np.append(self._walk_clearances(t[:-1], offset), gap)
+        for depth in range(CONNECT_DEPTH):
+            if depth:
+                pieces *= 2
+                refined = np.empty(pieces + 1)
+                refined[0::2] = radii
+                refined[1::2] = self._walk_clearances(
+                    np.linspace(0.0, 1.0, pieces + 1)[1::2], offset
+                )
+                radii = refined
+            if not (radii > 0).all():
+                return Membership.INDETERMINATE  # straight path exits
+            if (radii[:-1] + radii[1:] > target / pieces).all():
                 return Membership.INSIDE
-            pieces *= 2
-            radii = [r for kept in radii[:-1] for r in (kept, None)] + radii[-1:]
         return Membership.INDETERMINATE
 
+    def _walk_clearances(self, t: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        """Clearances at seed + t * offset; NaN from the first batch with an exit on."""
+        out = np.full(t.size, math.nan)
+        for start in range(0, t.size, COVER_BATCH):
+            chunk = slice(start, start + COVER_BATCH)
+            out[chunk] = self._clearances(self.seed + t[chunk, None] * offset)
+            if not (out[chunk] > 0).all():
+                break
+        return out
+
+    def _gaps(self, points):
+        # a row counts only when it is also connected to the seed
+        gaps = self._clearances(points)
+        for i in np.flatnonzero(gaps > 0):
+            if self._segment_connected(points[i], gaps[i]) is not Membership.INSIDE:
+                gaps[i] = math.nan
+        return gaps
+
     def _gap(self, z):
-        gap = self._clearance(z)
-        if gap is None or self._segment_connected(z, gap) is not Membership.INSIDE:
-            return None
-        return gap
+        return _first(self._gaps(z[None]))
 
     def membership(self, z) -> Membership:
         z = as_point(z, self.dim)
@@ -616,7 +729,7 @@ class SublevelDomain(DomainOracle):
         # Cover against the raw sublevel set, then certify connectivity once:
         # overlapping certified balls are connected, so one connected point
         # places the whole swept disc in the seed's component.
-        res = _cover_certify(self._clearance, self.dim, center, direction, rho, max_cells)
+        res = _cover_certify(self._clearances, self.dim, center, direction, rho, max_cells)
         if not res.certified:
             return res
         if self._segment_connected(as_point(center, self.dim)) is not Membership.INSIDE:

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .domains import as_point
+from .domains import DimensionMismatchError, DomainError, as_point
 
 # finite-difference step of the Levi form and gradient estimates
 FD_STEP = 1e-4
@@ -41,15 +41,18 @@ class GradientVanishesError(ValueError):
 class ScalarField:
     """Real-valued field on C^n.
 
-    ``gradient`` returns the real gradient packed as a complex vector,
-    g_j = df/dx_j + i df/dy_j, so its Euclidean norm is the real gradient
-    norm.  ``complex_hessian`` returns the n x n Hermitian matrix of mixed
-    derivatives d^2 f / dz_j dzbar_k.  ``lipschitz`` maps a radius r to a
-    bound on the real gradient norm over the ball B(0, r).
+    ``evaluate`` is vectorised over the last axis: it maps an array of
+    shape (..., dim) to values of shape (...), so ``values`` evaluates a
+    whole batch of points in one call.  ``gradient`` returns the real
+    gradient packed as a complex vector, g_j = df/dx_j + i df/dy_j, so its
+    Euclidean norm is the real gradient norm.  ``complex_hessian`` returns
+    the n x n Hermitian matrix of mixed derivatives d^2 f / dz_j dzbar_k.
+    ``lipschitz`` maps a radius r to a bound on the real gradient norm over
+    the ball B(0, r).
     """
 
     dim: int
-    evaluate: Callable[[np.ndarray], float]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     complex_hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lipschitz: Optional[Callable[[float], float]] = None
@@ -60,6 +63,32 @@ class ScalarField:
         if not math.isfinite(val):
             raise FieldEvaluationError(f"{self.name} is non-finite at {z!r}")
         return val
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """Values at the rows of an (m, dim) array, in one call of ``evaluate``.
+
+        The batch is checked once, as a whole, where ``__call__`` checks each
+        point.
+        """
+        points = np.asarray(points, dtype=complex)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"expected an (m, {self.dim}) batch, got shape {points.shape}"
+            )
+        if not np.isfinite(points).all():
+            raise DomainError("non-finite coordinate")
+        vals = np.asarray(self.evaluate(points), dtype=float)
+        if vals.shape != points.shape[:1]:
+            raise FieldEvaluationError(
+                f"{self.name} gave shape {vals.shape} for {len(points)} points;"
+                " evaluate must be vectorised over the last axis"
+            )
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise FieldEvaluationError(
+                f"{self.name} is non-finite at {points[bad.argmax()]!r}"
+            )
+        return vals
 
 
 @dataclass(frozen=True)
@@ -75,7 +104,7 @@ class LeviReport:
 def norm_squared(dim: int) -> ScalarField:
     return ScalarField(
         dim=dim,
-        evaluate=lambda z: float(np.sum(np.abs(z) ** 2)),
+        evaluate=lambda z: np.sum(np.abs(z) ** 2, axis=-1),
         gradient=lambda z: 2.0 * z,
         complex_hessian=lambda z: np.eye(dim, dtype=complex),
         lipschitz=lambda r: 2.0 * r,
@@ -88,7 +117,7 @@ def signature_quadratic(coeffs: Sequence[float]) -> ScalarField:
     c = np.asarray(coeffs, dtype=float)
     return ScalarField(
         dim=c.size,
-        evaluate=lambda z: float(np.sum(c * np.abs(z) ** 2)),
+        evaluate=lambda z: np.sum(c * np.abs(z) ** 2, axis=-1),
         gradient=lambda z: 2.0 * c * z,
         complex_hessian=lambda z: np.diag(c).astype(complex),
         lipschitz=lambda r: 2.0 * float(np.max(np.abs(c))) * r,
@@ -105,7 +134,7 @@ def pluriharmonic_re_square(dim: int) -> ScalarField:
 
     return ScalarField(
         dim=dim,
-        evaluate=lambda z: float((z[0] ** 2).real),
+        evaluate=lambda z: z[..., 0].real ** 2 - z[..., 0].imag ** 2,
         gradient=grad,
         complex_hessian=lambda z: np.zeros((dim, dim), dtype=complex),
         name="re-square",
@@ -121,7 +150,7 @@ def linear_re(dim: int) -> ScalarField:
 
     return ScalarField(
         dim=dim,
-        evaluate=lambda z: float(z[0].real),
+        evaluate=lambda z: z[..., 0].real,
         gradient=grad,
         complex_hessian=lambda z: np.zeros((dim, dim), dtype=complex),
         name="linear-re",
@@ -135,7 +164,7 @@ def exp_norm_squared(dim: int) -> ScalarField:
 
     return ScalarField(
         dim=dim,
-        evaluate=lambda z: math.exp(float(np.sum(np.abs(z) ** 2))),
+        evaluate=lambda z: np.exp(np.sum(np.abs(z) ** 2, axis=-1)),
         gradient=lambda z: 2.0 * z * math.exp(float(np.sum(np.abs(z) ** 2))),
         complex_hessian=hess,
         name="exp-norm2",
@@ -278,7 +307,7 @@ def lift_quadratic_tail(u: ScalarField, n: int) -> ScalarField:
         raise ValueError("lift needs n >= 3")
 
     def evaluate(z):
-        return u(z[:2]) + float(np.sum(np.abs(z[2:]) ** 2))
+        return u.evaluate(z[..., :2]) + np.sum(np.abs(z[..., 2:]) ** 2, axis=-1)
 
     gradient = None
     if u.gradient is not None:

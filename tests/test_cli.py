@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from koblab.cli import (
@@ -111,6 +112,11 @@ class TestExpressionFields:
     def test_rejects_attribute_access(self):
         with pytest.raises(ConfigError):
             parse_field_expression("z1.real", 1)
+
+    def test_batch_is_evaluated_row_by_row(self):
+        field = parse_field_expression("abs2(z1) + z2 * conj(z2)", 2)
+        points = np.array([[0.3, 0.4j], [0.1 - 0.2j, 0.5], [0.0, 0.0]])
+        assert field.values(points).tolist() == [field(z) for z in points]
 
     def test_non_real_value_raises_at_evaluation(self):
         field = parse_field_expression("z1", 1)

@@ -454,3 +454,147 @@ class TestGapMatchesPublicOracles:
         offsets = np.abs(z)
         gap = float(np.min(1.0 - offsets)) if np.all(offsets < 1.0) else None
         assert _bits(unit_bidisc()._gap(z)) == _bits(gap)
+
+
+def _row_bits(gaps):
+    return [_bits(None if math.isnan(gap) else float(gap)) for gap in gaps]
+
+
+def _two_wells_sublevel():
+    # the well at 1 is in the raw sublevel set but not in the seed's component
+    return SublevelDomain(
+        field=two_wells(1.0), level=0.5, ambient=Ball(np.zeros(1), 3.0),
+        seed=np.array([-1.0 + 0j]), lipschitz=1.0,
+    )
+
+
+BATCH_DOMAINS = {**GAP_DOMAINS, "two-wells-x-disc": ProductDomain((_two_wells_sublevel(), unit_disc()))}
+SUBLEVELS = {
+    "sublevel-norm2": GAP_DOMAINS["sublevel-norm2"],
+    "sublevel-two-wells": GAP_DOMAINS["sublevel-two-wells"],
+    "two-wells-factor": BATCH_DOMAINS["two-wells-x-disc"].factors[0],
+}
+
+
+def _edge_grid(dim):
+    """Every pair of boundary values and one-ulp neighbours, as real rows."""
+    pairs = np.array(np.meshgrid(EDGE_VALUES, EDGE_VALUES)).reshape(2, -1).T
+    rows = np.zeros((len(pairs), dim), dtype=complex)
+    rows[:, 0] = pairs[:, 0]
+    if dim == 1:
+        rows[:, 0] += 1j * pairs[:, 1]
+    else:
+        rows[:, -1] = pairs[:, 1]
+    return rows
+
+
+def _batches(dim):
+    return st.lists(st.lists(_coordinate(), min_size=dim, max_size=dim), min_size=1, max_size=6)
+
+
+def _reference_clearance(domain, z):
+    """The raw sublevel clearance from pointwise pieces: ambient _gap, then f(z)."""
+    ambient_gap = domain.ambient._gap(z)
+    if ambient_gap is None:
+        return None
+    value = float(domain.field(z))
+    if not value < domain.level:
+        return None
+    return min(ambient_gap, (domain.level - value) / domain.lipschitz)
+
+
+class TestBatchedGaps:
+    @pytest.mark.parametrize("name", sorted(BATCH_DOMAINS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_gaps_match_gap_row_by_row(self, name, data):
+        domain = BATCH_DOMAINS[name]
+        points = np.array(data.draw(_batches(domain.dim)), dtype=complex)
+        expected = [_bits(domain._gap(z)) for z in points]
+        assert _row_bits(domain._gaps(points)) == expected
+        # the looping default that subclasses without a batched form inherit
+        assert _row_bits(DomainOracle._gaps(domain, points)) == expected
+
+    @pytest.mark.parametrize("name", sorted(BATCH_DOMAINS))
+    def test_gaps_match_gap_on_boundary_values(self, name):
+        domain = BATCH_DOMAINS[name]
+        points = _edge_grid(domain.dim)
+        assert _row_bits(domain._gaps(points)) == [_bits(domain._gap(z)) for z in points]
+
+    @pytest.mark.parametrize("name", sorted(SUBLEVELS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_clearances_match_clearance(self, name, data):
+        domain = SUBLEVELS[name]
+        self._check_clearances(domain, np.array(data.draw(_batches(domain.dim)), dtype=complex))
+
+    @pytest.mark.parametrize("name", sorted(SUBLEVELS))
+    def test_clearances_match_clearance_on_boundary_values(self, name):
+        domain = SUBLEVELS[name]
+        self._check_clearances(domain, _edge_grid(domain.dim))
+
+    @staticmethod
+    def _check_clearances(domain, points):
+        expected = [_bits(_reference_clearance(domain, z)) for z in points]
+        assert [_bits(domain._clearance(z)) for z in points] == expected
+        assert _row_bits(domain._clearances(points)) == expected
+
+    def test_gaps_keep_connectivity(self):
+        # both wells are in the raw sublevel set; only the seed's counts, so
+        # a product with this factor must not take its clearances as gaps
+        factor = _two_wells_sublevel()
+        points = np.array([[-1.0, 0.0], [1.0, 0.0]], dtype=complex)
+        assert _row_bits(factor._clearances(points[:, :1])) == [_bits(0.5), _bits(0.5)]
+        assert _row_bits(factor._gaps(points[:, :1])) == [_bits(0.5), None]
+        product = ProductDomain((factor, unit_disc()))
+        assert _row_bits(product._gaps(points)) == [_bits(0.5), None]
+        res = product.certify_affine_disc([1.0, 0.0], [0.1, 0.1], 0.5)
+        assert not res.certified
+
+    def test_product_factor_sees_rows_inside_earlier_factors(self):
+        # as in _gap, a later factor is not asked about a row an earlier one rejects
+        class Recording(DomainOracle):
+            dim = 1
+
+            def __init__(self):
+                self.seen = []
+
+            def contains(self, z):
+                self.seen.append(complex(z[0]))
+                return True
+
+            def boundary_distance(self, z):
+                return 1.0
+
+            def enclosing_ball(self):
+                return np.zeros(1), 1.0
+
+        recording = Recording()
+        product = ProductDomain((unit_disc(), recording))
+        points = np.array([[0.5, 0.1], [2.0, 0.2], [0.0, 0.3j]])
+        assert _row_bits(product._gaps(points)) == [_bits(0.5), None, _bits(1.0)]
+        assert recording.seen == [0.1, 0.3j]
+
+
+def _complex_in(bound):
+    part = st.floats(-bound, bound)
+    return st.builds(complex, part, part)
+
+
+class TestGenericCoveringSound:
+    @pytest.mark.parametrize("domain", [unit_ball(2), unit_bidisc()], ids=["ball", "bidisc"])
+    @settings(max_examples=80, deadline=None)
+    @given(
+        center=st.lists(_complex_in(0.7), min_size=2, max_size=2),
+        direction=st.lists(_complex_in(1.0), min_size=2, max_size=2),
+        rho=st.floats(0.01, 1.0),
+        max_cells=st.sampled_from([0, 1, 2, 3, 64, 4096]),
+    )
+    def test_verdicts_agree_with_closed_forms(self, domain, center, direction, rho, max_cells):
+        center, direction = np.array(center), np.array(direction)
+        res = DomainOracle.certify_affine_disc(domain, center, direction, rho, max_cells=max_cells)
+        assert res.oracle_calls <= max_cells
+        if res.certified:
+            assert domain.certify_affine_disc(center, direction, rho).certified
+        if res.rejected:
+            assert not domain.contains(center + res.witness * direction)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from koblab.domains import DimensionMismatchError, DomainError
 from koblab.ladder import DyadicLadder
 from koblab.psh import (
+    FieldEvaluationError,
     GradientVanishesError,
     ScalarField,
     complex_hessian_fd,
@@ -170,6 +172,54 @@ class TestLift:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             lift_quadratic_tail(norm_squared(2), 2)
+
+
+FIELDS = {
+    "norm2": norm_squared(2),
+    "quadratic": signature_quadratic([1.0, -1.0]),
+    "re-square": pluriharmonic_re_square(2),
+    "linear-re": linear_re(2),
+    "exp-norm2": exp_norm_squared(2),
+    "lift": lift_quadratic_tail(norm_squared(2), 4),
+}
+
+
+class TestValues:
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_rows_match_pointwise_calls(self, name):
+        # one vectorised call gives each row's pointwise value bit for bit
+        field = FIELDS[name]
+        rng = np.random.Generator(np.random.Philox(key=11))
+        points = rng.uniform(-1.3, 1.3, (200, field.dim)) + 1j * rng.uniform(-1.3, 1.3, (200, field.dim))
+        values = field.values(points)
+        assert values.shape == (200,)
+        assert [float.hex(float(v)) for v in values] == [float.hex(field(z)) for z in points]
+
+    def test_empty_batch(self):
+        assert norm_squared(2).values(np.zeros((0, 2), dtype=complex)).shape == (0,)
+
+    def test_non_finite_value_names_field(self):
+        field = ScalarField(
+            2, lambda z: np.where(z[..., 0].real > 0.5, np.inf, 1.0), name="wall"
+        )
+        assert np.array_equal(field.values(np.array([[0.1, 0.2j]])), [1.0])
+        with pytest.raises(FieldEvaluationError, match="wall is non-finite"):
+            field.values(np.array([[0.1, 0.2j], [0.9, 0.0]]))
+
+    def test_batch_checked_once(self):
+        field = norm_squared(2)
+        with pytest.raises(DimensionMismatchError):
+            field.values(np.zeros((3, 3)))
+        with pytest.raises(DimensionMismatchError):
+            field.values(np.zeros(2))
+        with pytest.raises(DomainError, match="non-finite"):
+            field.values(np.array([[0.1, complex("nan")]]))
+
+    def test_unvectorised_evaluate_rejected(self):
+        # z[0] of a batch is its first row, not the first coordinate
+        field = ScalarField(2, lambda z: abs(z[0]) ** 2, name="pointwise")
+        with pytest.raises(FieldEvaluationError, match="pointwise gave shape"):
+            field.values(np.zeros((3, 2)))
 
 
 class TestCandidateSuite:
