@@ -14,7 +14,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -112,7 +112,11 @@ class Membership(Enum):
 
 
 class DomainOracle(ABC):
-    """Uniform interface for bounded domains in C^n."""
+    """Uniform interface for bounded domains in C^n.
+
+    A subclass defines ``contains`` and ``boundary_distance``, or a batched
+    ``_gaps`` and takes both from ``BatchedOracle``.
+    """
 
     dim: int
 
@@ -127,25 +131,17 @@ class DomainOracle(ABC):
         Raises PointOutsideDomainError when z is not in the domain.
         """
 
-    def _gap(self, z: np.ndarray) -> float | None:
-        """``boundary_distance(z) if contains(z) else None`` for a validated vector.
-
-        A subclass may override it to skip re-validating z, but it must keep
-        exactly that meaning.  This default calls the public methods, so a
-        subclass that defines only those keeps their semantics and metering.
-        """
-        return self.boundary_distance(z) if self.contains(z) else None
-
     def _gaps(self, points: np.ndarray) -> np.ndarray:
-        """``_gap`` of each row of a validated (m, dim) array, NaN for None.
+        """``boundary_distance`` of each row of an (m, dim) array, NaN outside.
 
-        The covering certifier evaluates its probes through it, one batch at
-        a time.  A subclass may override it with a batched form, as long as
-        every row equals ``_gap`` of that row bit for bit.  This default loops
-        ``_gap`` over the rows, so it keeps whatever ``_gap`` means and meters.
+        The package asks it once it holds points validated to ``dim``; it
+        validates nothing.  An override must give each row the same bits in
+        any batch.  This default loops the public predicates, so a subclass
+        that defines only those keeps their semantics and metering.
         """
         return np.array(
-            [math.nan if gap is None else gap for gap in map(self._gap, points)], dtype=float
+            [self.boundary_distance(z) if self.contains(z) else math.nan for z in points],
+            dtype=float,
         )
 
     @abstractmethod
@@ -185,7 +181,7 @@ class DomainOracle(ABC):
         center, radius = self.enclosing_ball()
         for _ in range(SAMPLE_TRIES):
             cand = center + radius * _unit_ball_sample(rng, self.dim)
-            if self.contains(cand):
+            if _first(self._gaps(cand[None])) is not None:
                 return cand
         raise DomainError("sampling failed; domain volume too small?")
 
@@ -301,8 +297,25 @@ def _children(parents: np.ndarray, half: float):
         yield (parents[start : start + step, None] + half * _QUADRANTS).ravel()
 
 
+class BatchedOracle(DomainOracle):
+    """An oracle whose one clearance is its ``_gaps``, positive inside, NaN outside.
+
+    ``contains`` and ``boundary_distance`` validate the point and ask
+    ``_gaps`` for one row.
+    """
+
+    def contains(self, z) -> bool:
+        return _first(self._gaps(as_point(z, self.dim)[None])) is not None
+
+    def boundary_distance(self, z) -> float:
+        gap = _first(self._gaps(as_point(z, self.dim)[None]))
+        if gap is None:
+            raise PointOutsideDomainError(f"point not inside the {type(self).__name__}")
+        return gap
+
+
 @dataclass(frozen=True)
-class Ball(DomainOracle):
+class Ball(BatchedOracle):
     """Open Euclidean ball B(center, radius)."""
 
     center: np.ndarray
@@ -316,29 +329,16 @@ class Ball(DomainOracle):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "dim", center.size)
 
-    def _gap(self, z):
-        # radius - norm > 0 exactly when norm < radius in IEEE arithmetic
-        gap = self.radius - float(np.linalg.norm(z - self.center))
-        return gap if gap > 0 else None
-
     def _gaps(self, points):
         # np.linalg.norm of a complex vector is sqrt(re . re + im . im); a
-        # stacked row @ column product takes the same dot per row
+        # stacked row @ column product takes the same dot per row.  radius -
+        # norm > 0 exactly when norm < radius in IEEE arithmetic.
         offset = points - self.center
         re, im = offset.real, offset.imag
         norm2 = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
         gaps = self.radius - np.sqrt(norm2[:, 0, 0])
         gaps[gaps <= 0] = math.nan
         return gaps
-
-    def contains(self, z) -> bool:
-        return self._gap(as_point(z, self.dim)) is not None
-
-    def boundary_distance(self, z) -> float:
-        gap = self._gap(as_point(z, self.dim))
-        if gap is None:
-            raise PointOutsideDomainError("point not inside the ball")
-        return gap
 
     def enclosing_ball(self):
         return self.center.copy(), float(self.radius)
@@ -380,7 +380,7 @@ class Ball(DomainOracle):
 
 
 @dataclass(frozen=True)
-class Polydisc(DomainOracle):
+class Polydisc(BatchedOracle):
     """Product of coordinate discs {|z_j - c_j| < r_j}."""
 
     center: np.ndarray
@@ -400,25 +400,12 @@ class Polydisc(DomainOracle):
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "dim", center.size)
 
-    def _gap(self, z):
+    def _gaps(self, points):
         # the smallest radius - |offset| is positive exactly when every
         # |offset| < radius
-        gap = float(np.min(self.radii - np.abs(z - self.center)))
-        return gap if gap > 0 else None
-
-    def _gaps(self, points):
         gaps = np.min(self.radii - np.abs(points - self.center), axis=1)
         gaps[gaps <= 0] = math.nan
         return gaps
-
-    def contains(self, z) -> bool:
-        return self._gap(as_point(z, self.dim)) is not None
-
-    def boundary_distance(self, z) -> float:
-        gap = self._gap(as_point(z, self.dim))
-        if gap is None:
-            raise PointOutsideDomainError("point not inside the polydisc")
-        return gap
 
     def enclosing_ball(self):
         return self.center.copy(), float(np.linalg.norm(self.radii))
@@ -481,8 +468,16 @@ def _nested_intersection(
     return zc, rc
 
 
+def factor_slices(factors: Sequence[DomainOracle]) -> Iterator[tuple[DomainOracle, slice]]:
+    """Each factor with the slice of a product point that holds its block."""
+    at = 0
+    for f in factors:
+        yield f, slice(at, at + f.dim)
+        at += f.dim
+
+
 @dataclass(frozen=True)
-class ProductDomain(DomainOracle):
+class ProductDomain(BatchedOracle):
     """Cartesian product of lower-dimensional domains."""
 
     factors: tuple[DomainOracle, ...]
@@ -497,40 +492,15 @@ class ProductDomain(DomainOracle):
 
     def blocks(self, z) -> list[np.ndarray]:
         z = as_point(z, self.dim)
-        out, at = [], 0
-        for f in self.factors:
-            out.append(z[at : at + f.dim])
-            at += f.dim
-        return out
-
-    def _gap(self, z):
-        gaps, at = [], 0
-        for f in self.factors:
-            gap = f._gap(z[at : at + f.dim])
-            if gap is None:
-                return None
-            gaps.append(gap)
-            at += f.dim
-        return min(gaps)
+        return [z[block] for _, block in factor_slices(self.factors)]
 
     def _gaps(self, points):
-        # like _gap, a factor sees only the rows inside the earlier factors
+        # a factor sees only the rows inside the earlier factors
         gaps = np.full(len(points), math.inf)
-        at = 0
-        for f in self.factors:
+        for f, block in factor_slices(self.factors):
             inside = gaps > 0
-            gaps[inside] = np.minimum(gaps[inside], f._gaps(points[inside, at : at + f.dim]))
-            at += f.dim
+            gaps[inside] = np.minimum(gaps[inside], f._gaps(points[inside, block]))
         return gaps
-
-    def contains(self, z) -> bool:
-        return self._gap(as_point(z, self.dim)) is not None
-
-    def boundary_distance(self, z) -> float:
-        gap = self._gap(as_point(z, self.dim))
-        if gap is None:
-            raise PointOutsideDomainError("point not inside the product")
-        return gap
 
     def enclosing_ball(self):
         centers, rad2 = [], 0.0
@@ -558,7 +528,7 @@ class ProductDomain(DomainOracle):
         discs = []
         for f, pblk, qblk in zip(self.factors, pb, qb):
             if np.array_equal(qblk, pblk):
-                if not f.contains(pblk):
+                if _first(f._gaps(pblk[None])) is None:
                     return None
                 continue
             sub = f.slice_region(pblk, qblk)
@@ -627,7 +597,7 @@ class SublevelDomain(DomainOracle):
             field = self.field
             values = lambda points: np.array([float(field(z)) for z in points])
         object.__setattr__(self, "_values", values)
-        if self._clearance(seed) is None:
+        if _first(self._clearances(seed[None])) is None:
             raise DomainError("seed is not in the sublevel set")
 
     def _clearances(self, points: np.ndarray) -> np.ndarray:
@@ -647,10 +617,6 @@ class SublevelDomain(DomainOracle):
         room = np.where(vals < self.level, (self.level - vals) / self.lipschitz, math.nan)
         gaps[inside] = np.minimum(gaps[inside], room)
         return gaps
-
-    def _clearance(self, z: np.ndarray) -> float | None:
-        """``_clearances`` of one validated vector, None outside."""
-        return _first(self._clearances(z[None]))
 
     def _segment_connected(self, z: np.ndarray, gap: float | None = None) -> Membership:
         """Cover the segment from the seed to z by overlapping clearance balls.
@@ -703,12 +669,9 @@ class SublevelDomain(DomainOracle):
                 gaps[i] = math.nan
         return gaps
 
-    def _gap(self, z):
-        return _first(self._gaps(z[None]))
-
     def membership(self, z) -> Membership:
         z = as_point(z, self.dim)
-        gap = self._clearance(z)
+        gap = _first(self._clearances(z[None]))
         if gap is None:
             return Membership.OUTSIDE
         return self._segment_connected(z, gap)
@@ -717,7 +680,7 @@ class SublevelDomain(DomainOracle):
         return self.membership(z) is Membership.INSIDE
 
     def boundary_distance(self, z) -> float:
-        gap = self._gap(as_point(z, self.dim))
+        gap = _first(self._gaps(as_point(z, self.dim)[None]))
         if gap is None:
             raise PointOutsideDomainError("point not certified in the component")
         return gap

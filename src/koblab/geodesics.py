@@ -22,7 +22,7 @@ import numpy as np
 
 from . import curves as curves_mod
 from .curves import SampledCurve
-from .domains import DomainOracle, PointOutsideDomainError, as_point
+from .domains import DimensionMismatchError, DomainOracle, PointOutsideDomainError, as_point
 from .kobayashi import (
     DiscChain,
     chain_upper_bound,
@@ -126,9 +126,11 @@ def check_almost_geodesic(
     if lam < 1.0 or kappa < 0.0:
         raise ValueError("need lambda >= 1 and kappa >= 0")
     k = curve.size
-    for row in curve.points:
-        if not domain.contains(row):
-            raise PointOutsideDomainError("curve leaves the domain")
+    if curve.dim != domain.dim:
+        raise DimensionMismatchError(f"dimension {curve.dim}, expected {domain.dim}")
+    deltas = domain._gaps(curve.points)
+    if np.isnan(deltas).any():
+        raise PointOutsideDomainError("curve leaves the domain")
     if k < 2:
         return AlmostGeodesicVerdict(lam, kappa, (), ())
 
@@ -163,7 +165,6 @@ def check_almost_geodesic(
             PairCheck(s, t, est.lower, est.upper, band_low, band_high, status)
         )
 
-    deltas = np.array([domain.boundary_distance(p) for p in curve.points])
     delta_min = float(np.min(deltas))
     h_max = float(np.max(np.diff(curve.params)))
     slack = 2.0 * curve.max_point_norm() * h_max / max(delta_min, 1e-12)
@@ -291,7 +292,7 @@ def sample_cap_points(
         if float(np.linalg.norm(vec)) >= r_nbhd:
             continue
         cand = anchor + vec
-        if domain.contains(cand):
+        if not np.isnan(domain._gaps(cand[None])[0]):
             out.append(cand)
     if len(out) < count:
         raise ValueError(
@@ -350,9 +351,7 @@ def visibility_experiment(
         )
         max_delta = None
         if verdict.overall == PASS:
-            max_delta = float(
-                max(domain.boundary_distance(pt) for pt in curve.points)
-            )
+            max_delta = float(np.max(domain._gaps(curve.points)))
         rows.append(
             VisibilityCurveRow(
                 idx, za, wb, verdict.overall, max_delta, curve.param_length

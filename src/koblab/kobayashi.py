@@ -28,10 +28,12 @@ from .curves import STITCH_TOL
 from .domains import (
     CertStatus,
     CertifyResult,
+    DimensionMismatchError,
     DomainOracle,
     PointOutsideDomainError,
     ProductSlice,
     as_point,
+    factor_slices,
     slice_embed,
 )
 from .ladder import DyadicLadder, TAIL_RATIO
@@ -236,6 +238,12 @@ class CountingOracle(DomainOracle):
         self.used += 1
         return self.inner.boundary_distance(z)
 
+    def _gaps(self, points):
+        # metered as contains per row and boundary_distance per row inside
+        gaps = self.inner._gaps(points)
+        self.used += len(gaps) + int(np.count_nonzero(~np.isnan(gaps)))
+        return gaps
+
     def enclosing_ball(self):
         return self.inner.enclosing_ball()
 
@@ -367,11 +375,8 @@ def lower_bound(domain: DomainOracle, z, w) -> tuple[float, dict]:
 
     factors = domain.product_factors()
     if factors is not None:
-        at = 0
-        for j, f in enumerate(factors):
-            zb, wb = z[at : at + f.dim], w[at : at + f.dim]
-            at += f.dim
-            val, sub = lower_bound(f, zb, wb)
+        for j, (f, block) in enumerate(factor_slices(factors)):
+            val, sub = lower_bound(f, z[block], w[block])
             if val > best:
                 best = val
                 cert = {"kind": "factor-projection", "index": j, "inner": sub}
@@ -394,12 +399,9 @@ def metric_lower_bound(domain: DomainOracle, z, v) -> float:
                 best = max(best, (abs(v[j]) / pr[j]) / s)
     factors = domain.product_factors()
     if factors is not None:
-        at = 0
-        for f in factors:
-            zb, vb = z[at : at + f.dim], v[at : at + f.dim]
-            at += f.dim
-            if np.any(vb != 0):
-                best = max(best, metric_lower_bound(f, zb, vb))
+        for f, block in factor_slices(factors):
+            if np.any(v[block] != 0):
+                best = max(best, metric_lower_bound(f, z[block], v[block]))
     return float(best)
 
 
@@ -559,9 +561,9 @@ def _segment_ball_chain(
         if oracle.remaining() < 3:  # a step spends up to three calls
             return None
         mid = 0.5 * (p + q)
-        if not oracle.contains(mid):
+        delta = float(oracle._gaps(mid[None])[0])
+        if math.isnan(delta):
             return None
-        delta = oracle.boundary_distance(mid)
         span = float(np.linalg.norm(q - p))
         if span == 0.0:
             return []
@@ -623,10 +625,8 @@ def search_upper_bound(
         factors = None
     if factors is not None:
         per, used_all = [], True
-        at = 0
-        for f in factors:
-            zb, wb = z[at : at + f.dim], w[at : at + f.dim]
-            at += f.dim
+        for f, block in factor_slices(factors):
+            zb, wb = z[block], w[block]
             if np.array_equal(zb, wb):
                 per.append((0.0, None))
                 continue
@@ -696,8 +696,8 @@ def estimate_distance(
     """
     z = as_point(z, domain.dim)
     w = as_point(w, domain.dim)
-    for name, pt in (("z", z), ("w", w)):
-        if not domain.contains(pt):
+    for name, gap in zip("zw", domain._gaps(np.array([z, w]))):
+        if math.isnan(gap):
             raise PointOutsideDomainError(f"{name} is not in the domain")
     if np.array_equal(z, w):
         return DistanceEstimate(
@@ -746,7 +746,8 @@ def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
     speed = float(np.linalg.norm(v))
     if speed == 0:
         raise EstimationError("direction must be nonzero")
-    if not domain.contains(z):
+    gap = float(domain._gaps(z[None])[0])
+    if math.isnan(gap):
         raise PointOutsideDomainError("base point not in the domain")
     # everything below works with the unit direction and scales by ||v|| at
     # the end, so homogeneity is exact whenever c v and c ||v|| round exactly
@@ -757,7 +758,7 @@ def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
         res = domain.certify_affine_disc(z, r * unit, rho, max_cells=METRIC_CELLS)
         return res.certified
 
-    lo = domain.boundary_distance(z) * 0.5
+    lo = gap * 0.5
     while lo > 0 and not certified(lo):
         lo *= 0.5
         if lo < 1e-300:
@@ -852,12 +853,12 @@ def slice_identity_check(
     rng = np.random.Generator(np.random.Philox(key=seed))
     for _ in range(HYPOTHESIS_SAMPLES):
         g = base.sample_point(rng)
-        if not total.contains(sl.embed(g)):
+        if math.isnan(total._gaps(sl.embed(g)[None])[0]):
             raise SliceHypothesisError(
                 f"base point {g!r} does not embed into the total domain"
             )
         t = total.sample_point(rng)
-        if not base.contains(sl.project(t)):
+        if math.isnan(base._gaps(sl.project(t)[None])[0]):
             raise SliceHypothesisError(
                 f"total-domain point {t!r} does not project into the base"
             )
@@ -972,15 +973,14 @@ def cauchy_table(
         raise ValueError("need depth >= 2")
     if n < 2:
         raise ValueError("ambient dimension must be >= 2")
+    if n != domain.dim:
+        raise DimensionMismatchError(f"dimension {n}, expected {domain.dim}")
 
-    points = []
-    for nu in range(1, depth + 1):
-        pt = slice_embed(ladder.point_complex(nu), n)
-        if not domain.contains(pt):
-            raise CauchyMembershipError(
-                nu, f"ladder point nu={nu} not certified inside the domain"
-            )
-        points.append(pt)
+    points = np.array([slice_embed(ladder.point_complex(nu), n) for nu in range(1, depth + 1)])
+    outside = np.flatnonzero(np.isnan(domain._gaps(points)))
+    if outside.size:
+        nu = int(outside[0]) + 1
+        raise CauchyMembershipError(nu, f"ladder point nu={nu} not certified inside the domain")
 
     rho = 1.0 - margin
     uppers = np.empty(depth - 1)

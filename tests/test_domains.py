@@ -373,7 +373,7 @@ class TestAsPoint:
 
     def test_covering_validates_once(self, monkeypatch):
         # the generic-search domain; the probes reach the ambient ball's
-        # _gap unvalidated, since the covering built them from validated arrays
+        # _gaps unvalidated, since the covering built them from validated arrays
         domain = SublevelDomain(
             field=psh.norm_squared(2), level=1.0, ambient=Ball(np.zeros(2), 1.2),
             seed=np.zeros(2), lipschitz=4.8,
@@ -398,6 +398,15 @@ def _near(x):
 
 def _bits(gap):
     return None if gap is None else float.hex(gap)
+
+
+def _row_bits(gaps):
+    return [_bits(None if math.isnan(gap) else float(gap)) for gap in gaps]
+
+
+def _one_row(gaps, z):
+    """``gaps`` (a batched clearance) of z alone, as bits."""
+    return _row_bits(gaps(z[None]))[0]
 
 
 GAP_DOMAINS = {
@@ -434,30 +443,40 @@ class TestGapMatchesPublicOracles:
         z = as_point(data.draw(st.lists(_coordinate(), min_size=domain.dim,
                                         max_size=domain.dim)))
         expected = domain.boundary_distance(z) if domain.contains(z) else None
-        assert _bits(domain._gap(z)) == _bits(expected)
-        # so does the default _gap that subclasses without closed forms inherit
-        assert _bits(DomainOracle._gap(domain, z)) == _bits(expected)
+        assert _one_row(domain._gaps, z) == _bits(expected)
+        # so does the default _gaps that subclasses without a batched form inherit
+        assert _one_row(lambda points: DomainOracle._gaps(domain, points), z) == _bits(expected)
 
     @settings(max_examples=200, deadline=None)
-    @given(point=st.lists(_coordinate(), min_size=2, max_size=2))
-    @example(point=[1.0, 0.0])
-    @example(point=[0.0, 1.0j])
-    @example(point=[math.nextafter(1.0, 0.0), 0.0])
-    @example(point=[math.nextafter(1.0, 2.0), 0.0])
-    @example(point=[0.6, 0.8j])
+    @given(point=st.lists(_coordinate(), min_size=3, max_size=3))
+    @example(point=[1.0, 0.0, 0.0])
+    @example(point=[0.0, 1.0j, 0.0])
+    @example(point=[math.nextafter(1.0, 0.0), 0.0, 0.0])
+    @example(point=[math.nextafter(1.0, 2.0), 0.0, 0.0])
+    @example(point=[0.6, 0.8j, 0.0])
+    @example(point=[0.6, 0.0, math.nextafter(1.0, 0.0)])
+    @example(point=[0.0, 0.0, 1.0j])
     def test_closed_forms_match_separate_predicates(self, point):
         # the merged test radius - norm > 0 gives what the separate
-        # predicate norm < radius and the distance radius - norm give
+        # predicate norm < radius and the distance radius - norm give; the
+        # first two coordinates go to B^2 and the bidisc, all three to B^2 x D
         z = as_point(point)
-        norm = float(np.linalg.norm(z))
-        assert _bits(unit_ball(2)._gap(z)) == _bits(1.0 - norm if norm < 1.0 else None)
+        norm = float(np.linalg.norm(z[:2]))
+        ball = 1.0 - norm if norm < 1.0 else None
+        self._check_public(unit_ball(2), z[:2], ball)
         offsets = np.abs(z)
-        gap = float(np.min(1.0 - offsets)) if np.all(offsets < 1.0) else None
-        assert _bits(unit_bidisc()._gap(z)) == _bits(gap)
+        bidisc = float(np.min(1.0 - offsets[:2])) if np.all(offsets[:2] < 1.0) else None
+        self._check_public(unit_bidisc(), z[:2], bidisc)
+        disc = 1.0 - float(offsets[2]) if offsets[2] < 1.0 else None
+        product = None if ball is None or disc is None else min(ball, disc)
+        self._check_public(ProductDomain((unit_ball(2), unit_disc())), z, product)
 
-
-def _row_bits(gaps):
-    return [_bits(None if math.isnan(gap) else float(gap)) for gap in gaps]
+    @staticmethod
+    def _check_public(domain, z, expected):
+        assert _one_row(domain._gaps, z) == _bits(expected)
+        assert domain.contains(z) is (expected is not None)
+        if expected is not None:
+            assert _bits(domain.boundary_distance(z)) == _bits(expected)
 
 
 def _two_wells_sublevel():
@@ -493,10 +512,11 @@ def _batches(dim):
 
 
 def _reference_clearance(domain, z):
-    """The raw sublevel clearance from pointwise pieces: ambient _gap, then f(z)."""
-    ambient_gap = domain.ambient._gap(z)
-    if ambient_gap is None:
+    """The raw sublevel clearance from pointwise pieces: the ambient's public
+    predicates, then f(z)."""
+    if not domain.ambient.contains(z):
         return None
+    ambient_gap = domain.ambient.boundary_distance(z)
     value = float(domain.field(z))
     if not value < domain.level:
         return None
@@ -510,16 +530,19 @@ class TestBatchedGaps:
     def test_gaps_match_gap_row_by_row(self, name, data):
         domain = BATCH_DOMAINS[name]
         points = np.array(data.draw(_batches(domain.dim)), dtype=complex)
-        expected = [_bits(domain._gap(z)) for z in points]
+        expected = [_one_row(domain._gaps, z) for z in points]
         assert _row_bits(domain._gaps(points)) == expected
-        # the looping default that subclasses without a batched form inherit
+        # the looping default that subclasses without a batched form inherit,
+        # which asks the public predicates
         assert _row_bits(DomainOracle._gaps(domain, points)) == expected
 
     @pytest.mark.parametrize("name", sorted(BATCH_DOMAINS))
     def test_gaps_match_gap_on_boundary_values(self, name):
         domain = BATCH_DOMAINS[name]
         points = _edge_grid(domain.dim)
-        assert _row_bits(domain._gaps(points)) == [_bits(domain._gap(z)) for z in points]
+        expected = [_one_row(domain._gaps, z) for z in points]
+        assert _row_bits(domain._gaps(points)) == expected
+        assert _row_bits(DomainOracle._gaps(domain, points)) == expected
 
     @pytest.mark.parametrize("name", sorted(SUBLEVELS))
     @settings(max_examples=100, deadline=None)
@@ -536,7 +559,7 @@ class TestBatchedGaps:
     @staticmethod
     def _check_clearances(domain, points):
         expected = [_bits(_reference_clearance(domain, z)) for z in points]
-        assert [_bits(domain._clearance(z)) for z in points] == expected
+        assert [_one_row(domain._clearances, z) for z in points] == expected
         assert _row_bits(domain._clearances(points)) == expected
 
     def test_gaps_keep_connectivity(self):
@@ -552,7 +575,7 @@ class TestBatchedGaps:
         assert not res.certified
 
     def test_product_factor_sees_rows_inside_earlier_factors(self):
-        # as in _gap, a later factor is not asked about a row an earlier one rejects
+        # a later factor is not asked about a row an earlier one rejects
         class Recording(DomainOracle):
             dim = 1
 

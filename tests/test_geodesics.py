@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from koblab.curves import SampledCurve
-from koblab.domains import unit_ball, unit_bidisc
+from koblab.domains import (
+    DimensionMismatchError,
+    PointOutsideDomainError,
+    unit_ball,
+    unit_bidisc,
+)
 from koblab.geodesics import (
     build_chain_curve,
     check_almost_geodesic,
@@ -141,8 +146,15 @@ class TestChecker:
     def test_curve_outside_domain_rejected(self):
         ts = np.array([0.0, 1.0])
         pts = np.array([[0.0 + 0j, 0.0], [1.5 + 0j, 0.0]])
-        with pytest.raises(Exception):
+        with pytest.raises(PointOutsideDomainError, match="curve leaves the domain"):
             check_almost_geodesic(unit_bidisc(), SampledCurve(ts, pts), 1.0, 0.1)
+
+    def test_curve_dimension_checked(self):
+        # a one-sample curve in C^1 on the bidisc: no pair or speed check
+        # would reach the point, so only the explicit check catches it
+        curve = SampledCurve(np.array([0.0]), np.array([[0.1 + 0j]]))
+        with pytest.raises(DimensionMismatchError):
+            check_almost_geodesic(unit_bidisc(), curve, 1.0, 0.1)
 
 
 class TestVisibility:

@@ -14,6 +14,7 @@ import pytest
 from koblab.cli import emit_plot_data, parse_config, run
 from koblab.domains import (
     Ball,
+    DimensionMismatchError,
     Polydisc,
     PointOutsideDomainError,
     ProductDomain,
@@ -26,6 +27,7 @@ from koblab.kobayashi import (
     AnalyticDisc,
     CauchyMembershipError,
     ChainLink,
+    CountingOracle,
     DiscChain,
     EstimationError,
     SliceHypothesisError,
@@ -140,6 +142,20 @@ class TestLowerBound:
         assert val == 0.0
 
 
+class TestCountingOracle:
+    def test_gaps_metered_like_the_predicates(self):
+        # one call per row for membership, one more per row inside for its
+        # distance: what contains and then boundary_distance would charge
+        points = np.array([[0.1, 0.0], [1.5, 0.0], [0.0, 0.2j]])
+        batched = CountingOracle(unit_ball(2), budget=100)
+        gaps = batched._gaps(points)
+        pointwise = CountingOracle(unit_ball(2), budget=100)
+        expected = [pointwise.boundary_distance(z) if pointwise.contains(z) else None
+                    for z in points]
+        assert [None if math.isnan(g) else float(g) for g in gaps] == expected
+        assert batched.used == pointwise.used == 5
+
+
 class TestSearchUpperBound:
     def test_disc_radial(self):
         val, cert, used, method = search_upper_bound(unit_disc(), [0], [0.5])
@@ -178,6 +194,10 @@ class TestEstimateDistance:
     def test_outside_point_rejected(self):
         with pytest.raises(PointOutsideDomainError):
             estimate_distance(unit_ball(2), [0, 0], [1.5, 0])
+
+    def test_outside_first_point_named(self):
+        with pytest.raises(PointOutsideDomainError, match="z is not in the domain"):
+            estimate_distance(unit_ball(2), [1.5, 0], [0, 0])
 
     def test_json_schema(self):
         est = estimate_distance(unit_disc(), [0], [0.5])
@@ -380,6 +400,18 @@ class TestCauchyTable:
         with pytest.raises(CauchyMembershipError) as excinfo:
             cauchy_table(tiny, DyadicLadder(5), n=2)
         assert excinfo.value.nu == 1
+
+    def test_membership_failure_names_first_outside_index(self):
+        # a small polydisc centred at the first ladder point holds nu = 1
+        # but not the later points; the error names the first one outside
+        near = Polydisc([1 / 16, 1 / 256], 0.01)
+        with pytest.raises(CauchyMembershipError) as excinfo:
+            cauchy_table(near, DyadicLadder(5), n=2)
+        assert excinfo.value.nu == 2
+
+    def test_dimension_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            cauchy_table(unit_bidisc(), DyadicLadder(5), n=3)
 
     def test_embedded_in_higher_dimension(self):
         domain = Polydisc(np.zeros(4), 1.0)
