@@ -1,4 +1,4 @@
-"""Plurisubharmonicity certificates: Levi forms by finite differences.
+"""Plurisubharmonicity evidence: Levi forms by finite differences.
 
 The complex Hessian is recovered from line Laplacians with second-order
 accuracy; strong pseudoconvexity restricts it to the complex tangent space

@@ -38,7 +38,6 @@ from .domains import (
 from .geodesics import visibility_experiment
 from .kobayashi import (
     CauchyMembershipError,
-    EstimationError,
     ball_distance,
     cauchy_table,
     estimate_distance,
@@ -47,7 +46,10 @@ from .kobayashi import (
 )
 from .ladder import DyadicLadder, base3_mutated_ladder, chain_term_table, verify_ladder
 from .poincare import poincare_distance
-from .psh import ScalarField, lift_quadratic_tail, norm_squared, signature_quadratic, verify_defining_candidate
+from .psh import (
+    LADDER_DEPTH, ScalarField, lift_quadratic_tail, norm_squared, signature_quadratic,
+    verify_defining_candidate,
+)
 
 EXPERIMENTS = (
     "verify-ladder",
@@ -503,7 +505,7 @@ def _run_psh_verify(cfg: ExperimentConfig):
     if cfg.field is None:
         raise ConfigError("psh-verify requires $.field")
     field = field_from_spec(cfg.field)
-    ladder = DyadicLadder(max(cfg.depth, 20))
+    ladder = DyadicLadder(LADDER_DEPTH)
     report = verify_defining_candidate(field, ladder)
     checks = [
         CheckResult(c.name, PASS if c.passed else FAIL,
@@ -717,7 +719,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     sp = subs.add_parser("psh-verify", help="defining-function candidate suite")
     sp.add_argument("--field", type=str, required=True, help="field spec (JSON or path)")
-    sp.add_argument("--N", type=int, default=None, dest="depth")
     _add_common(sp)
 
     sp = subs.add_parser("visibility-demo", help="visibility sampling on the ball")
@@ -754,10 +755,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = parse_config(doc)
         report = run(cfg, out_dir=args.out, quiet=args.quiet)
         return report.exit_code
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (EstimationError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

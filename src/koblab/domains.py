@@ -114,39 +114,39 @@ class Membership(Enum):
 class DomainOracle(ABC):
     """Uniform interface for bounded domains in C^n.
 
-    A subclass defines ``contains`` and ``boundary_distance``, or a batched
-    ``_gaps`` and takes both from ``BatchedOracle``.
+    A new oracle defines ``_gaps`` and ``enclosing_ball``.  Membership, the
+    boundary distance, the generic disc certifier and sampling all ask
+    ``_gaps``; the optional hooks below let estimators use exact geometry.
     """
 
     dim: int
 
     @abstractmethod
-    def contains(self, z) -> bool:
-        ...
+    def _gaps(self, points: np.ndarray) -> np.ndarray:
+        """Certified lower bound on the distance to the complement of each row.
+
+        ``points`` is an (m, dim) array; a row outside the domain gets NaN,
+        a row inside a positive value.  The package asks it once it holds
+        points validated to ``dim``; it validates nothing.  Each row must get
+        the same bits in any batch.
+        """
 
     @abstractmethod
+    def enclosing_ball(self) -> tuple[np.ndarray, float]:
+        ...
+
+    def contains(self, z) -> bool:
+        return _first(self._gaps(as_point(z, self.dim)[None])) is not None
+
     def boundary_distance(self, z) -> float:
         """Certified lower bound on the Euclidean distance to the complement.
 
         Raises PointOutsideDomainError when z is not in the domain.
         """
-
-    def _gaps(self, points: np.ndarray) -> np.ndarray:
-        """``boundary_distance`` of each row of an (m, dim) array, NaN outside.
-
-        The package asks it once it holds points validated to ``dim``; it
-        validates nothing.  An override must give each row the same bits in
-        any batch.  This default loops the public predicates, so a subclass
-        that defines only those keeps their semantics and metering.
-        """
-        return np.array(
-            [self.boundary_distance(z) if self.contains(z) else math.nan for z in points],
-            dtype=float,
-        )
-
-    @abstractmethod
-    def enclosing_ball(self) -> tuple[np.ndarray, float]:
-        ...
+        gap = _first(self._gaps(as_point(z, self.dim)[None]))
+        if gap is None:
+            raise PointOutsideDomainError(f"point not inside the {type(self).__name__}")
+        return gap
 
     # Optional structure hooks.  Estimators use them when available and fall
     # back to the generic covering certifier otherwise.
@@ -171,7 +171,7 @@ class DomainOracle(ABC):
         """Certify {center + zeta * direction : |zeta| <= rho} inside the domain.
 
         The generic implementation covers the swept parameter disc with balls
-        certified by ``boundary_distance``; subclasses with exact geometry
+        certified by ``_gaps``; subclasses with exact geometry
         override it with closed forms.
         """
         return _cover_certify(self._gaps, self.dim, center, direction, rho, max_cells)
@@ -297,25 +297,8 @@ def _children(parents: np.ndarray, half: float):
         yield (parents[start : start + step, None] + half * _QUADRANTS).ravel()
 
 
-class BatchedOracle(DomainOracle):
-    """An oracle whose one clearance is its ``_gaps``, positive inside, NaN outside.
-
-    ``contains`` and ``boundary_distance`` validate the point and ask
-    ``_gaps`` for one row.
-    """
-
-    def contains(self, z) -> bool:
-        return _first(self._gaps(as_point(z, self.dim)[None])) is not None
-
-    def boundary_distance(self, z) -> float:
-        gap = _first(self._gaps(as_point(z, self.dim)[None]))
-        if gap is None:
-            raise PointOutsideDomainError(f"point not inside the {type(self).__name__}")
-        return gap
-
-
 @dataclass(frozen=True)
-class Ball(BatchedOracle):
+class Ball(DomainOracle):
     """Open Euclidean ball B(center, radius)."""
 
     center: np.ndarray
@@ -380,7 +363,7 @@ class Ball(BatchedOracle):
 
 
 @dataclass(frozen=True)
-class Polydisc(BatchedOracle):
+class Polydisc(DomainOracle):
     """Product of coordinate discs {|z_j - c_j| < r_j}."""
 
     center: np.ndarray
@@ -477,7 +460,7 @@ def factor_slices(factors: Sequence[DomainOracle]) -> Iterator[tuple[DomainOracl
 
 
 @dataclass(frozen=True)
-class ProductDomain(BatchedOracle):
+class ProductDomain(DomainOracle):
     """Cartesian product of lower-dimensional domains."""
 
     factors: tuple[DomainOracle, ...]

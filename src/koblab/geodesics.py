@@ -88,10 +88,13 @@ class SpeedCheck:
 
 @dataclass(frozen=True)
 class AlmostGeodesicVerdict:
+    """Both conditions' checks, and the largest boundary distance on the curve."""
+
     lam: float
     kappa: float
     condition_a: tuple[PairCheck, ...]
     condition_b: tuple[SpeedCheck, ...]
+    max_delta: float
 
     @property
     def overall(self) -> str:
@@ -131,8 +134,9 @@ def check_almost_geodesic(
     deltas = domain._gaps(curve.points)
     if np.isnan(deltas).any():
         raise PointOutsideDomainError("curve leaves the domain")
+    max_delta = float(np.max(deltas))
     if k < 2:
-        return AlmostGeodesicVerdict(lam, kappa, (), ())
+        return AlmostGeodesicVerdict(lam, kappa, (), (), max_delta)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     index_pairs = {(0, k - 1)}
@@ -192,7 +196,7 @@ def check_almost_geodesic(
             SpeedCheck(float(curve.params[i]), est.lower, est.upper, limit, status)
         )
 
-    return AlmostGeodesicVerdict(lam, kappa, tuple(a_checks), tuple(b_checks))
+    return AlmostGeodesicVerdict(lam, kappa, tuple(a_checks), tuple(b_checks), max_delta)
 
 
 @dataclass(frozen=True)
@@ -349,9 +353,7 @@ def visibility_experiment(
             seed=seed + idx,
             margin=margin,
         )
-        max_delta = None
-        if verdict.overall == PASS:
-            max_delta = float(np.max(domain._gaps(curve.points)))
+        max_delta = verdict.max_delta if verdict.overall == PASS else None
         rows.append(
             VisibilityCurveRow(
                 idx, za, wb, verdict.overall, max_delta, curve.param_length

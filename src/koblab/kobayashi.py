@@ -214,14 +214,17 @@ class MetricEstimate:
             raise EstimationError("metric bracket inverted")
 
 
-class CountingOracle(DomainOracle):
-    """Delegating wrapper that meters primitive oracle evaluations."""
+class CountingOracle:
+    """Meters a domain's clearances, slice regions and disc certificates.
+
+    It answers only the questions the search spends budget on; ask the
+    domain itself for anything unmetered.
+    """
 
     def __init__(self, inner: DomainOracle, budget: int):
         self.inner = inner
         self.budget = int(budget)
         self.used = 0
-        self.dim = inner.dim
 
     def remaining(self) -> int:
         return max(0, self.budget - self.used)
@@ -230,28 +233,12 @@ class CountingOracle(DomainOracle):
     def exhausted(self) -> bool:
         return self.used >= self.budget
 
-    def contains(self, z) -> bool:
-        self.used += 1
-        return self.inner.contains(z)
-
-    def boundary_distance(self, z) -> float:
-        self.used += 1
-        return self.inner.boundary_distance(z)
-
     def _gaps(self, points):
-        # metered as contains per row and boundary_distance per row inside
+        # one call per row for membership, one more per row inside for its
+        # distance
         gaps = self.inner._gaps(points)
         self.used += len(gaps) + int(np.count_nonzero(~np.isnan(gaps)))
         return gaps
-
-    def enclosing_ball(self):
-        return self.inner.enclosing_ball()
-
-    def enclosing_polydisc(self):
-        return self.inner.enclosing_polydisc()
-
-    def product_factors(self):
-        return self.inner.product_factors()
 
     def slice_region(self, p, q):
         self.used += 1
@@ -276,6 +263,26 @@ def disc_in_domain(
     return domain.certify_affine_disc(disc.center, disc.direction, rho, max_cells=max_cells)
 
 
+def _priced_link(
+    domain: DomainOracle,
+    disc: AnalyticDisc,
+    zeta_in: complex,
+    zeta_out: complex,
+    margin: float,
+    max_cells: int = 4096,
+) -> tuple[CertStatus, float | None]:
+    """Certify a link's disc on radius rho = 1 - margin and price the link.
+
+    The cost is p(zeta_in / rho, zeta_out / rho), or None when the disc is
+    not certified; the certifier's status comes with it.
+    """
+    rho = 1.0 - margin
+    result = disc_in_domain(disc, domain, margin, max_cells)
+    if not result.certified:
+        return result.status, None
+    return result.status, poincare_distance(zeta_in / rho, zeta_out / rho)
+
+
 def chain_upper_bound(
     domain: DomainOracle, chain: DiscChain, margin: float = 1e-3, max_cells: int = 4096
 ) -> float:
@@ -292,15 +299,15 @@ def chain_upper_bound(
             raise EstimationError(
                 f"link {i}: parameters exceed the certified radius {rho}"
             )
-        result = disc_in_domain(link.disc, domain, margin, max_cells)
-        if not result.certified:
-            raise UncertifiedDiscError(
-                f"link {i}: disc not certified ({result.status.value})"
-            )
         try:
-            total += poincare_distance(link.zeta_in / rho, link.zeta_out / rho)
+            status, cost = _priced_link(
+                domain, link.disc, link.zeta_in, link.zeta_out, margin, max_cells
+            )
         except poincare.DiscPointError as exc:
             raise EstimationError(f"link {i}: cost not representable ({exc})") from exc
+        if cost is None:
+            raise UncertifiedDiscError(f"link {i}: disc not certified ({status.value})")
+        total += cost
     return total
 
 
@@ -433,7 +440,7 @@ def _slice_geometry(
 
 
 def _slice_link(
-    domain: DomainOracle,
+    domain: DomainOracle | CountingOracle,
     z: np.ndarray,
     w: np.ndarray,
     zc: complex,
@@ -850,15 +857,20 @@ def slice_identity_check(
     sl = ProductSlice(m, n)
     z = as_point(z, m)
     w = as_point(w, m)
+    # every sample is drawn first, in the order g0, t0, g1, t1, ..., then
+    # the embeddings and the projections are checked in one batch each
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for _ in range(HYPOTHESIS_SAMPLES):
-        g = base.sample_point(rng)
-        if math.isnan(total._gaps(sl.embed(g)[None])[0]):
+    samples = [
+        (base.sample_point(rng), total.sample_point(rng)) for _ in range(HYPOTHESIS_SAMPLES)
+    ]
+    embed_gaps = total._gaps(np.array([sl.embed(g) for g, _ in samples]))
+    project_gaps = base._gaps(np.array([sl.project(t) for _, t in samples]))
+    for (g, t), embed_gap, project_gap in zip(samples, embed_gaps, project_gaps):
+        if math.isnan(embed_gap):
             raise SliceHypothesisError(
                 f"base point {g!r} does not embed into the total domain"
             )
-        t = total.sample_point(rng)
-        if math.isnan(base._gaps(sl.project(t)[None])[0]):
+        if math.isnan(project_gap):
             raise SliceHypothesisError(
                 f"total-domain point {t!r} does not project into the base"
             )
@@ -982,7 +994,6 @@ def cauchy_table(
         nu = int(outside[0]) + 1
         raise CauchyMembershipError(nu, f"ladder point nu={nu} not certified inside the domain")
 
-    rho = 1.0 - margin
     uppers = np.empty(depth - 1)
     for nu in range(1, depth):
         a0, a1, b0 = (
@@ -994,13 +1005,13 @@ def cauchy_table(
             center=slice_embed(np.array([0.0, -a0 * a1]), n),
             direction=slice_embed(np.array([b0, b0 * (a1 + a0)]), n),
         )
-        result = disc_in_domain(disc, domain, margin)
-        if not result.certified:
-            raise CauchyMembershipError(
-                nu, f"embedded ladder disc nu={nu} not certified ({result.status.value})"
-            )
         zin, zout = ladder.disc_parameters(nu)
-        uppers[nu - 1] = poincare_distance(float(zin) / rho, float(zout) / rho)
+        status, cost = _priced_link(domain, disc, float(zin), float(zout), margin)
+        if cost is None:
+            raise CauchyMembershipError(
+                nu, f"embedded ladder disc nu={nu} not certified ({status.value})"
+            )
+        uppers[nu - 1] = cost
 
     observed = uppers[1:] / uppers[:-1]
     if observed.size and float(np.max(observed)) > TAIL_RATIO:

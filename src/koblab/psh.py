@@ -1,4 +1,4 @@
-"""Numerical certificates for plurisubharmonicity and boundary geometry.
+"""Numerical evidence for plurisubharmonicity and boundary geometry.
 
 The complex Hessian H[j, k] = d^2 f / dz_j dzbar_k is estimated by central
 differences through line Laplacians: for a direction v,
@@ -8,7 +8,8 @@ differences through line Laplacians: for a direction v,
 equals sum_jk H[j,k] v_j conj(v_k), and the Hermitian polarization identity
 recovers the off-diagonal entries from Q alone.  Smooth fields give O(step^2)
 errors.  Fields may carry analytic gradient / Hessian suppliers, in which
-case those are preferred.
+case those are preferred.  The candidate suite (``verify_defining_candidate``)
+samples grids, so its passes are evidence, not certificates.
 """
 
 from __future__ import annotations

@@ -176,6 +176,9 @@ class TestRunExperiments:
         assert report.exit_code == 1
         failed = {c.name for c in report.checks if c.status == "fail"}
         assert "value-at-origin" in failed
+        # the shared key N is accepted and changes nothing
+        default = run(parse_config({"experiment": "psh-verify", "field": cfg.field}), quiet=True)
+        assert default.checks == report.checks
 
     def test_cauchy_demo_sanity(self):
         cfg = parse_config({"experiment": "cauchy-demo", "N": 10})
@@ -290,6 +293,12 @@ class TestMain:
     def test_usage_error_exit_three(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["no-such-command"])
+        assert excinfo.value.code == 3
+
+    def test_psh_verify_has_no_depth_flag(self):
+        # the candidate suite samples psh.LADDER_DEPTH ladder discs whatever N says
+        with pytest.raises(SystemExit) as excinfo:
+            main(["psh-verify", "--field", '{"kind": "norm2", "dim": 2}', "--N", "5", "--quiet"])
         assert excinfo.value.code == 3
 
     def test_config_file_with_overrides(self, tmp_path):

@@ -409,6 +409,11 @@ def _one_row(gaps, z):
     return _row_bits(gaps(z[None]))[0]
 
 
+def _pointwise_gaps(domain, points):
+    """The reference for ``_gaps``: the public predicates, one point at a time."""
+    return [domain.boundary_distance(z) if domain.contains(z) else math.nan for z in points]
+
+
 GAP_DOMAINS = {
     "ball": unit_ball(2),
     "polydisc": unit_bidisc(),
@@ -442,10 +447,7 @@ class TestGapMatchesPublicOracles:
         domain = GAP_DOMAINS[name]
         z = as_point(data.draw(st.lists(_coordinate(), min_size=domain.dim,
                                         max_size=domain.dim)))
-        expected = domain.boundary_distance(z) if domain.contains(z) else None
-        assert _one_row(domain._gaps, z) == _bits(expected)
-        # so does the default _gaps that subclasses without a batched form inherit
-        assert _one_row(lambda points: DomainOracle._gaps(domain, points), z) == _bits(expected)
+        assert _one_row(domain._gaps, z) == _row_bits(_pointwise_gaps(domain, [z]))[0]
 
     @settings(max_examples=200, deadline=None)
     @given(point=st.lists(_coordinate(), min_size=3, max_size=3))
@@ -532,9 +534,7 @@ class TestBatchedGaps:
         points = np.array(data.draw(_batches(domain.dim)), dtype=complex)
         expected = [_one_row(domain._gaps, z) for z in points]
         assert _row_bits(domain._gaps(points)) == expected
-        # the looping default that subclasses without a batched form inherit,
-        # which asks the public predicates
-        assert _row_bits(DomainOracle._gaps(domain, points)) == expected
+        assert _row_bits(_pointwise_gaps(domain, points)) == expected
 
     @pytest.mark.parametrize("name", sorted(BATCH_DOMAINS))
     def test_gaps_match_gap_on_boundary_values(self, name):
@@ -542,7 +542,7 @@ class TestBatchedGaps:
         points = _edge_grid(domain.dim)
         expected = [_one_row(domain._gaps, z) for z in points]
         assert _row_bits(domain._gaps(points)) == expected
-        assert _row_bits(DomainOracle._gaps(domain, points)) == expected
+        assert _row_bits(_pointwise_gaps(domain, points)) == expected
 
     @pytest.mark.parametrize("name", sorted(SUBLEVELS))
     @settings(max_examples=100, deadline=None)
@@ -582,12 +582,9 @@ class TestBatchedGaps:
             def __init__(self):
                 self.seen = []
 
-            def contains(self, z):
-                self.seen.append(complex(z[0]))
-                return True
-
-            def boundary_distance(self, z):
-                return 1.0
+            def _gaps(self, points):
+                self.seen.extend(complex(z[0]) for z in points)
+                return np.ones(len(points))
 
             def enclosing_ball(self):
                 return np.zeros(1), 1.0
@@ -597,6 +594,60 @@ class TestBatchedGaps:
         points = np.array([[0.5, 0.1], [2.0, 0.2], [0.0, 0.3j]])
         assert _row_bits(product._gaps(points)) == [_bits(0.5), None, _bits(1.0)]
         assert recording.seen == [0.1, 0.3j]
+
+
+class UnitDiscFromGaps(DomainOracle):
+    """The unit disc, written as a new oracle is: ``_gaps`` and ``enclosing_ball`` only."""
+
+    dim = 1
+
+    def _gaps(self, points):
+        gaps = 1.0 - np.abs(points[:, 0])
+        gaps[gaps <= 0] = math.nan
+        return gaps
+
+    def enclosing_ball(self):
+        return np.zeros(1, dtype=complex), 1.0
+
+
+class TestOracleContract:
+    def test_gaps_and_enclosing_ball_suffice(self):
+        disc = UnitDiscFromGaps()
+        assert disc.contains([0.5j]) and not disc.contains([1.0])
+        assert disc.boundary_distance([0.5j]) == 0.5
+        with pytest.raises(PointOutsideDomainError):
+            disc.boundary_distance([1.5])
+        with pytest.raises(DimensionMismatchError):
+            disc.contains([0.1, 0.2])
+        # the generic covering, probe for probe the one the unit disc gets
+        for direction in ([0.5], [1.2]):
+            res = disc.certify_affine_disc([0.1], direction, 0.99)
+            same = DomainOracle.certify_affine_disc(unit_disc(), [0.1], direction, 0.99)
+            assert (res.status, res.witness, res.oracle_calls) == (
+                same.status, same.witness, same.oracle_calls
+            )
+        assert disc.certify_affine_disc([0.1], [0.5], 0.99).certified
+        assert disc.certify_affine_disc([0.1], [1.2], 0.99).rejected
+        rng = np.random.Generator(np.random.Philox(key=6))
+        points = [disc.sample_point(rng) for _ in range(20)]
+        assert all(abs(z[0]) < 1.0 for z in points)
+
+    def test_gaps_is_required(self):
+        # the public predicates alone no longer make an oracle
+        class PredicatesOnly(DomainOracle):
+            dim = 1
+
+            def contains(self, z):
+                return abs(z[0]) < 1.0
+
+            def boundary_distance(self, z):
+                return 1.0 - abs(z[0])
+
+            def enclosing_ball(self):
+                return np.zeros(1, dtype=complex), 1.0
+
+        with pytest.raises(TypeError):
+            PredicatesOnly()
 
 
 def _complex_in(bound):

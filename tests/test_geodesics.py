@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from koblab import geodesics
 from koblab.curves import SampledCurve
 from koblab.domains import (
+    Ball,
     DimensionMismatchError,
     PointOutsideDomainError,
     unit_ball,
@@ -105,6 +107,15 @@ class TestChecker:
         verdict = check_almost_geodesic(unit_bidisc(), curve, lam=1.0, kappa=0.01, seed=1)
         assert verdict.overall == "pass"
 
+    def test_verdict_records_max_delta(self):
+        domain = unit_bidisc()
+        curve = build_chain_curve(domain, coordinate_disc_chain(), 200)
+        verdict = check_almost_geodesic(domain, curve, lam=1.0, kappa=0.01, seed=1)
+        assert verdict.max_delta.hex() == float(max(domain._gaps(curve.points))).hex()
+        # a one-sample curve is checked for nothing but still has its depth
+        point = SampledCurve(np.array([0.0]), np.array([[0.1, 0.25j]]))
+        assert check_almost_geodesic(domain, point, 1.0, 0.1).max_delta == 0.75
+
     def test_zero_kappa_is_indeterminate_not_fail(self):
         curve = build_chain_curve(unit_bidisc(), coordinate_disc_chain(), 200)
         verdict = check_almost_geodesic(unit_bidisc(), curve, lam=1.0, kappa=0.0, seed=1)
@@ -178,6 +189,31 @@ class TestVisibility:
         doc = report.to_json_dict()
         assert doc["passing"] == report.passing
         assert len(doc["curves"]) == 12
+
+    def test_passing_curve_clearances_asked_once(self, monkeypatch):
+        # the row's max_delta is the checker's, from its one curve-point batch
+        curves, batches = [], []
+        build, gaps = geodesics.build_chain_curve, Ball._gaps
+
+        def recorded_build(*args):
+            curves.append(build(*args))
+            return curves[-1]
+
+        def recorded_gaps(self, points):
+            batches.append(points)
+            return gaps(self, points)
+
+        monkeypatch.setattr(geodesics, "build_chain_curve", recorded_build)
+        monkeypatch.setattr(Ball, "_gaps", recorded_gaps)
+        report = visibility_experiment(
+            unit_ball(2), [1.0, 0.0], [-1.0, 0.0], r_nbhd=0.05, n_curves=1, seed=0, kappa=0.2,
+        )
+        (row,), (curve,) = report.rows, curves
+        assert row.verdict == "pass"
+        on_curve = [p for p in batches if p.shape == curve.points.shape
+                    and np.array_equal(p, curve.points)]
+        assert len(on_curve) == 1
+        assert row.max_delta.hex() == float(np.max(gaps(unit_ball(2), curve.points))).hex()
 
     def test_rejects_overlapping_caps(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ shares no code with koblab.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from koblab.domains import (
     PointOutsideDomainError,
     ProductDomain,
     SublevelDomain,
+    slice_embed,
     unit_ball,
     unit_bidisc,
     unit_disc,
 )
 from koblab.kobayashi import (
+    HYPOTHESIS_SAMPLES,
     AnalyticDisc,
     CauchyMembershipError,
     ChainLink,
@@ -55,6 +58,19 @@ def oracle_ball(z, w):
 
 def oracle_polydisc(z, w):
     return exact_oracles.polydisc_distance(z, w)
+
+
+def _record_gaps_callers(monkeypatch, cls):
+    """Record (calling function, rows) for every ``cls._gaps`` call."""
+    calls = []
+    original = cls._gaps
+
+    def recorded(self, points):
+        calls.append((sys._getframe(1).f_code.co_name, len(points)))
+        return original(self, points)
+
+    monkeypatch.setattr(cls, "_gaps", recorded)
+    return calls
 
 
 def ladder_disc(nu, n=2):
@@ -147,13 +163,12 @@ class TestCountingOracle:
         # one call per row for membership, one more per row inside for its
         # distance: what contains and then boundary_distance would charge
         points = np.array([[0.1, 0.0], [1.5, 0.0], [0.0, 0.2j]])
-        batched = CountingOracle(unit_ball(2), budget=100)
-        gaps = batched._gaps(points)
-        pointwise = CountingOracle(unit_ball(2), budget=100)
-        expected = [pointwise.boundary_distance(z) if pointwise.contains(z) else None
-                    for z in points]
+        oracle = CountingOracle(unit_ball(2), budget=100)
+        gaps = oracle._gaps(points)
+        domain = unit_ball(2)
+        expected = [domain.boundary_distance(z) if domain.contains(z) else None for z in points]
         assert [None if math.isnan(g) else float(g) for g in gaps] == expected
-        assert batched.used == pointwise.used == 5
+        assert oracle.used == 3 + 2
 
 
 class TestSearchUpperBound:
@@ -378,6 +393,34 @@ class TestSliceIdentity:
         narrow = Polydisc(np.zeros(2), [0.4, 1.0])
         with pytest.raises(SliceHypothesisError):
             slice_identity_check(unit_disc(), narrow, [0], [0.2])
+
+    @pytest.mark.parametrize("base, total", [
+        (unit_disc(), Polydisc(np.zeros(2), [0.4, 1.0])),
+        (Polydisc(np.zeros(1), 0.4), unit_bidisc()),
+    ], ids=["embed", "project"])
+    def test_first_violation_in_sampling_order(self, base, total):
+        # the samples are drawn g0, t0, g1, t1, ...; the error names the first
+        # one that fails, as checking each right after its draw would
+        rng = np.random.Generator(np.random.Philox(key=0))
+        for _ in range(HYPOTHESIS_SAMPLES):
+            g = base.sample_point(rng)
+            if not total.contains(slice_embed(g, 2)):
+                expected = f"base point {g!r} does not embed into the total domain"
+                break
+            t = total.sample_point(rng)
+            if not base.contains(t[:1]):
+                expected = f"total-domain point {t!r} does not project into the base"
+                break
+        with pytest.raises(SliceHypothesisError) as excinfo:
+            slice_identity_check(base, total, [0], [0.2])
+        assert str(excinfo.value) == expected
+
+    def test_hypothesis_checked_in_two_batches(self, monkeypatch):
+        calls = _record_gaps_callers(monkeypatch, Polydisc)
+        report = slice_identity_check(unit_disc(), unit_bidisc(), [0], [0.5])
+        assert report.passed
+        rows = [rows for caller, rows in calls if caller == "slice_identity_check"]
+        assert rows == [HYPOTHESIS_SAMPLES, HYPOTHESIS_SAMPLES]
 
 
 class TestCauchyTable:
