@@ -149,7 +149,9 @@ class DomainOracle(ABC):
         return gap
 
     # Optional structure hooks.  Estimators use them when available and fall
-    # back to the generic covering certifier otherwise.
+    # back to the generic covering certifier otherwise.  ``centered_radius``
+    # only tells a search where to look; what it says is never reported
+    # unless the disc certifier confirms it.
 
     def enclosing_polydisc(self) -> tuple[np.ndarray, np.ndarray] | None:
         return None
@@ -162,6 +164,15 @@ class DomainOracle(ABC):
 
         Returns (center, radius) in the zeta-plane, or None when the slice is
         not a round disc the oracle can name.
+        """
+        return None
+
+    def centered_radius(self, z, v) -> float | None:
+        """sup of r with {z + zeta v : |zeta| < r} inside the domain, for z inside.
+
+        A hint from exact geometry, never a certificate: ``infinitesimal_bounds``
+        starts its radius search from it and lets ``certify_affine_disc``
+        decide.  None when the oracle has no closed form.
         """
         return None
 
@@ -344,6 +355,18 @@ class Ball(DomainOracle):
             return None
         return zc, math.sqrt(rc2)
 
+    def centered_radius(self, z, v):
+        # the root of |v|^2 r^2 + 2 |<a, v>| r - (R^2 - |a|^2) = 0, written
+        # room / (|s| + sqrt(|s|^2 + |v|^2 room)) so that nothing cancels
+        a = as_point(z, self.dim) - self.center
+        v = as_point(v, self.dim)
+        room = self.radius**2 - float(np.sum(np.abs(a) ** 2))
+        if room <= 0:
+            return 0.0
+        s = abs(complex(np.sum(a * np.conj(v))))
+        denominator = s + math.sqrt(s * s + float(np.sum(np.abs(v) ** 2)) * room)
+        return room / denominator if denominator > 0 else math.inf
+
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
         if max_cells < 1:
             return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=0)
@@ -418,6 +441,15 @@ class Polydisc(DomainOracle):
             )
         return _nested_intersection(discs)
 
+    def centered_radius(self, z, v):
+        # the first moving coordinate to reach its circle: (r_j - |a_j|) / |v_j|
+        room = self.radii - np.abs(as_point(z, self.dim) - self.center)
+        if np.any(room <= 0):
+            return 0.0
+        speed = np.abs(as_point(v, self.dim))
+        moving = speed > 0
+        return float(np.min(room[moving] / speed[moving], initial=math.inf))
+
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
         if max_cells < 1:
             return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=0)
@@ -429,7 +461,9 @@ class Polydisc(DomainOracle):
         if bad.size == 0:
             return CertifyResult(CertStatus.CERTIFIED, rho)
         j = int(bad[0])
-        a, d = center[j] - self.center[j], direction[j]
+        # Python's complex division, unlike numpy's, divides instead of
+        # multiplying by a reciprocal, which overflows for a subnormal a or d
+        a, d = complex(center[j] - self.center[j]), complex(direction[j])
         if a != 0 and d != 0:
             witness = rho * (a / abs(a)) * (abs(d) / d)
         else:
@@ -519,6 +553,18 @@ class ProductDomain(DomainOracle):
                 return None
             discs.append(sub)
         return _nested_intersection(discs)
+
+    def centered_radius(self, z, v):
+        # the factors whose block of v is zero stay at z's block
+        radius = math.inf
+        for f, zblk, vblk in zip(self.factors, self.blocks(z), self.blocks(v)):
+            if not vblk.any():
+                continue
+            sub = f.centered_radius(zblk, vblk)
+            if sub is None:
+                return None
+            radius = min(radius, sub)
+        return radius
 
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
         cb, db = self.blocks(center), self.blocks(direction)

@@ -50,6 +50,8 @@ BALL_CHAIN_DEPTH = 8
 METRIC_TOL = 1e-8
 METRIC_BISECTIONS = 64
 METRIC_CELLS = 2048
+# the hinted bracket's lower end sits this far (relative) below the hint
+METRIC_HINT_MARGIN = 1e-12
 # slice_identity_check: sampled points per side of the slice hypothesis, and
 # the slack allowed between the two brackets
 HYPOTHESIS_SAMPLES = 32
@@ -746,37 +748,60 @@ def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
     line's parameter region is exactly known (the centered disc alone
     overestimates k away from a domain's center).  Lower bound: closed forms
     of the enclosing ball / polydisc / factors.  Both sides are exactly
-    homogeneous in v.
+    homogeneous in v, and ||v|| is taken after scaling v by a power of two,
+    so no finite nonzero v overflows or underflows it.
+
+    When the oracle names the radius in closed form (``centered_radius``),
+    the bisection starts from a bracket around it that takes two certifier
+    calls: just below it must certify and just above it must not.  The hint
+    is not a certificate; when either call disagrees with it (near the
+    boundary, where the certifier's rounding moves its threshold, or when
+    the hint is wrong) the search runs as without one, by halving, doubling
+    and bisection.
     """
     z = as_point(z, domain.dim)
     v = as_point(v, domain.dim)
-    speed = float(np.linalg.norm(v))
-    if speed == 0:
+    parts = v.view(float)  # real and imaginary parts, interleaved
+    peak = float(np.max(np.abs(parts)))
+    if peak == 0:
         raise EstimationError("direction must be nonzero")
     gap = float(domain._gaps(z[None])[0])
     if math.isnan(gap):
         raise PointOutsideDomainError("base point not in the domain")
     # everything below works with the unit direction and scales by ||v|| at
-    # the end, so homogeneity is exact whenever c v and c ||v|| round exactly
-    unit = v / speed
+    # the end, so homogeneity is exact whenever c v and c ||v|| round exactly.
+    # Scaling by a power of two is exact, so unit and speed round as
+    # v / ||v|| and ||v|| would wherever ||v|| neither overflows nor underflows.
+    exponent = math.frexp(peak)[1]
+    scaled = np.ldexp(parts, -exponent).view(complex)
+    norm = float(np.linalg.norm(scaled))
+    unit = scaled / norm
+    try:
+        speed = math.ldexp(norm, exponent)
+    except OverflowError:
+        raise EstimationError("the norm of the direction overflows") from None
     rho = 1.0 - 1e-9
 
     def certified(r: float) -> bool:
         res = domain.certify_affine_disc(z, r * unit, rho, max_cells=METRIC_CELLS)
         return res.certified
 
-    lo = gap * 0.5
-    while lo > 0 and not certified(lo):
-        lo *= 0.5
-        if lo < 1e-300:
-            raise EstimationError("no certified disc at any radius")
-    _, enclosing_radius = domain.enclosing_ball()
-    hi = lo * 2.0
-    while certified(hi):
-        lo = hi
-        hi *= 2.0
-        if lo > 8.0 * enclosing_radius:
-            raise EstimationError("certified radius exceeds the enclosing ball")
+    bracket = _hinted_bracket(domain.centered_radius(z, unit), rho, certified)
+    if bracket is not None:
+        lo, hi = bracket
+    else:
+        lo = gap * 0.5
+        while lo > 0 and not certified(lo):
+            lo *= 0.5
+            if lo < 1e-300:
+                raise EstimationError("no certified disc at any radius")
+        _, enclosing_radius = domain.enclosing_ball()
+        hi = lo * 2.0
+        while certified(hi):
+            lo = hi
+            hi *= 2.0
+            if lo > 8.0 * enclosing_radius:
+                raise EstimationError("certified radius exceeds the enclosing ball")
     for _ in range(METRIC_BISECTIONS):
         if hi - lo <= METRIC_TOL * max(lo, 1e-12):
             break
@@ -802,10 +827,29 @@ def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
                 unit_upper = min(unit_upper, 1.0 / (rc * rho * (1.0 - abs(xi0) ** 2)))
 
     upper = speed * unit_upper
+    if upper == math.inf:
+        raise EstimationError("the metric overflows")
     lower = speed * metric_lower_bound(domain, z, unit)
     if lower > upper + BRACKET_TOL:
         raise EstimationError("metric soundness violation")
     return MetricEstimate(lower=min(lower, upper), upper=upper)
+
+
+def _hinted_bracket(hint, rho: float, certified) -> tuple[float, float] | None:
+    """(lo, hi) around a ``centered_radius`` hint, or None.
+
+    The disc of radius r is certified on parameter radius rho, so the
+    threshold is hint / rho.  lo must certify and hi must not; otherwise, or
+    without a finite positive hint, None.  hi - lo is within METRIC_TOL, so
+    the bisection ends at once.
+    """
+    if hint is None or not 0.0 < hint < math.inf:
+        return None
+    lo = hint / rho * (1.0 - METRIC_HINT_MARGIN)
+    hi = hint / rho * (1.0 + 0.5 * METRIC_TOL)
+    if hi < math.inf and certified(lo) and not certified(hi):
+        return lo, hi
+    return None
 
 
 @dataclass(frozen=True)

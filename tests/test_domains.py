@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from koblab import domains, psh
@@ -153,6 +153,17 @@ class TestDiscCertificates:
         assert abs(res.witness) >= 1 / 1.2 - 1e-9
         image = np.array([0.0, 0.0]) + res.witness * np.array([1.2, 0.0])
         assert not unit_bidisc().contains(image)
+
+    @pytest.mark.parametrize("offset, speed", [(2.2e-311, 2.0), (1.0, 1e-310 + 3e-311j)],
+                             ids=["subnormal-offset", "subnormal-direction"])
+    def test_polydisc_witness_of_subnormal_coordinates(self, offset, speed):
+        # the phase a/|a| of a subnormal offset, or |d|/d of a subnormal
+        # direction, overflowed in numpy's complex division
+        center, direction = np.array([0.0, offset]), np.array([0.0, speed])
+        res = unit_bidisc().certify_affine_disc(center, direction, 1.0)
+        assert res.rejected
+        assert abs(res.witness) == pytest.approx(1.0, rel=1e-15)
+        assert not unit_bidisc().contains(center + res.witness * direction)
 
     def test_generic_covering_agrees_with_closed_form(self):
         ball = unit_ball(2)
@@ -410,8 +421,53 @@ def _one_row(gaps, z):
 
 
 def _pointwise_gaps(domain, points):
-    """The reference for ``_gaps``: the public predicates, one point at a time."""
+    """The public predicates, one point at a time."""
     return [domain.boundary_distance(z) if domain.contains(z) else math.nan for z in points]
+
+
+def _reference_gap(domain, z):
+    """An independent reference for one row of ``_gaps``, None outside.
+
+    A ball, polydisc or product of them is computed from z's coordinates in
+    pure-Python ``math``, sharing no code with ``_gaps``; a sublevel domain
+    goes through its public predicates, whose ``contains`` takes its own
+    path (``membership``)."""
+    z = [complex(x) for x in z]
+    if isinstance(domain, ProductDomain):
+        gaps, at = [], 0
+        for factor in domain.factors:
+            gaps.append(_reference_gap(factor, z[at : at + factor.dim]))
+            at += factor.dim
+        return None if None in gaps else min(gaps)
+    if not isinstance(domain, (Ball, Polydisc)):
+        return domain.boundary_distance(z) if domain.contains(z) else None
+    offsets = [x - complex(c) for x, c in zip(z, domain.center)]
+    if isinstance(domain, Ball):
+        norm = math.sqrt(sum(w.real**2 for w in offsets) + sum(w.imag**2 for w in offsets))
+        return domain.radius - norm if norm < domain.radius else None
+    radii = [float(r) for r in domain.radii]
+    if not all(abs(w) < r for w, r in zip(offsets, radii)):
+        return None
+    return min(r - abs(w) for w, r in zip(offsets, radii))
+
+
+# numpy and Python round |w| differently (np.abs and abs of a complex
+# disagree in the last bit on about a third of random inputs), so _gaps
+# meets the reference up to this many ulps of the enclosing radius
+REFERENCE_ULPS = 8
+
+
+def _assert_near_reference(domain, points, gaps):
+    """Each row of ``gaps`` agrees with ``_reference_gap`` up to rounding; only
+    a row within rounding of the boundary may be classed differently."""
+    tol = REFERENCE_ULPS * math.ulp(domain.enclosing_ball()[1])
+    for z, gap in zip(points, gaps):
+        ref = _reference_gap(domain, z)
+        gap = None if math.isnan(gap) else float(gap)
+        if ref is None or gap is None:
+            assert max(ref or 0.0, gap or 0.0) <= tol, (z, gap, ref)
+        else:
+            assert abs(gap - ref) <= tol, (z, gap, ref)
 
 
 GAP_DOMAINS = {
@@ -448,6 +504,7 @@ class TestGapMatchesPublicOracles:
         z = as_point(data.draw(st.lists(_coordinate(), min_size=domain.dim,
                                         max_size=domain.dim)))
         assert _one_row(domain._gaps, z) == _row_bits(_pointwise_gaps(domain, [z]))[0]
+        _assert_near_reference(domain, [z], domain._gaps(z[None]))
 
     @settings(max_examples=200, deadline=None)
     @given(point=st.lists(_coordinate(), min_size=3, max_size=3))
@@ -535,6 +592,7 @@ class TestBatchedGaps:
         expected = [_one_row(domain._gaps, z) for z in points]
         assert _row_bits(domain._gaps(points)) == expected
         assert _row_bits(_pointwise_gaps(domain, points)) == expected
+        _assert_near_reference(domain, points, domain._gaps(points))
 
     @pytest.mark.parametrize("name", sorted(BATCH_DOMAINS))
     def test_gaps_match_gap_on_boundary_values(self, name):
@@ -543,6 +601,7 @@ class TestBatchedGaps:
         expected = [_one_row(domain._gaps, z) for z in points]
         assert _row_bits(domain._gaps(points)) == expected
         assert _row_bits(_pointwise_gaps(domain, points)) == expected
+        _assert_near_reference(domain, points, domain._gaps(points))
 
     @pytest.mark.parametrize("name", sorted(SUBLEVELS))
     @settings(max_examples=100, deadline=None)
@@ -561,6 +620,7 @@ class TestBatchedGaps:
         expected = [_bits(_reference_clearance(domain, z)) for z in points]
         assert [_one_row(domain._clearances, z) for z in points] == expected
         assert _row_bits(domain._clearances(points)) == expected
+        _assert_near_reference(domain.ambient, points, domain.ambient._gaps(points))
 
     def test_gaps_keep_connectivity(self):
         # both wells are in the raw sublevel set; only the seed's counts, so
@@ -653,6 +713,61 @@ class TestOracleContract:
 def _complex_in(bound):
     part = st.floats(-bound, bound)
     return st.builds(complex, part, part)
+
+
+HINT_DOMAINS = {
+    "ball": unit_ball(2),
+    "off-centre-ball": Ball(np.array([0.2, -0.1j]), 1.5),
+    "bidisc": unit_bidisc(),
+    "polydisc": Polydisc(np.array([0.1j, 0.0]), [1.0, 0.5]),
+    "ball-x-disc": ProductDomain((unit_ball(2), unit_disc())),
+}
+
+
+def _draw_interior(data, domain, clearance=1e-3):
+    """A point of a ball, polydisc or product of them at least ``clearance``
+    (up to rounding) inside every factor: 1 - |z| >= 1e-3 on the unit ones."""
+    if isinstance(domain, ProductDomain):
+        return np.concatenate([_draw_interior(data, f, clearance) for f in domain.factors])
+    coordinates = st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                            st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))
+    w = np.array(data.draw(st.lists(coordinates, min_size=domain.dim, max_size=domain.dim)))
+    if isinstance(domain, Ball):
+        w = w / max(1.0, float(np.linalg.norm(w)))
+        return domain.center + (domain.radius - clearance) * w
+    return domain.center + (domain.radii - clearance) * w
+
+
+def _direction_coordinate():
+    # zero, or a modulus in [1e-3, 1] at any angle
+    polar = st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                      st.floats(1e-3, 1.0), st.floats(0.0, 2 * math.pi))
+    return st.one_of(st.just(0j), polar)
+
+
+class TestCenteredRadius:
+    @pytest.mark.parametrize("name", sorted(HINT_DOMAINS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_hint_is_the_certifier_threshold(self, name, data):
+        # one part in 1e9 below the hint certifies, one part above rejects
+        domain = HINT_DOMAINS[name]
+        z = _draw_interior(data, domain)
+        v = np.array(data.draw(st.lists(_direction_coordinate(), min_size=domain.dim,
+                                        max_size=domain.dim)))
+        assume(v.any())
+        radius = domain.centered_radius(z, v)
+        assert 0 < radius < math.inf
+        assert domain.certify_affine_disc(z, radius * (1 - 1e-9) * v, 1.0).certified
+        assert domain.certify_affine_disc(z, radius * (1 + 1e-9) * v, 1.0).rejected
+
+    def test_product_hint_needs_every_moving_factor(self, ball_sublevel):
+        product = ProductDomain((unit_disc(), ball_sublevel))
+        z = np.array([0.5, 0.1, 0.2j])
+        assert ball_sublevel.centered_radius(z[1:], [1.0, 0.0]) is None
+        assert product.centered_radius(z, [1.0, 0.5, 0.0]) is None
+        # the sublevel factor does not move, so the disc factor names it
+        assert product.centered_radius(z, [0.25, 0.0, 0.0]) == 2.0
 
 
 class TestGenericCoveringSound:

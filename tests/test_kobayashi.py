@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from koblab import psh
 from koblab.cli import emit_plot_data, parse_config, run
 from koblab.domains import (
     Ball,
@@ -368,6 +369,98 @@ class TestInfinitesimal:
     def test_zero_direction_rejected(self):
         with pytest.raises(EstimationError):
             infinitesimal_bounds(unit_disc(), [0], [0])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-300], ids=["huge", "tiny"])
+    def test_extreme_direction_scales(self, scale):
+        # ||v|| overflows or underflows unless v is scaled first
+        z = np.array([0.3 + 0.1j, -0.2j])
+        v = np.array([1.0, 1j if scale > 1 else 1.0])
+        one = infinitesimal_bounds(unit_ball(2), z, v)
+        scaled = infinitesimal_bounds(unit_ball(2), z, scale * v)
+        assert scaled.lower == pytest.approx(scale * one.lower, rel=1e-12)
+        assert scaled.upper == pytest.approx(scale * one.upper, rel=1e-12)
+
+    @pytest.mark.parametrize("z, v", [([0.3, 0.0], [1.5e308, 1.5e308]), ([0.9, 0.0], [1e308, 0.0])],
+                             ids=["norm", "metric"])
+    def test_overflowing_metric_is_a_clean_error(self, z, v):
+        # ||v|| itself overflows, or k(z; v) = ||v|| / (1 - |z|^2) does
+        with pytest.raises(EstimationError, match="overflows"):
+            infinitesimal_bounds(unit_ball(2), z, v)
+
+
+class NoSliceBall(Ball):
+    """A ball without ``slice_region``: the centred disc alone gives the upper."""
+
+    def slice_region(self, p, q):
+        return None
+
+
+def _lying_ball(factor):
+    class LyingBall(NoSliceBall):
+        def centered_radius(self, z, v):
+            return factor * Ball.centered_radius(self, z, v)
+
+    return LyingBall(np.zeros(2), 1.0)
+
+
+def _count_certifier_calls(monkeypatch, cls):
+    calls = []
+    original = cls.certify_affine_disc
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "certify_affine_disc", counted)
+    return calls
+
+
+class TestCenteredRadiusHint:
+    Z = np.array([0.3 + 0.1j, -0.2j])
+    V = np.array([0.6, 0.8j])
+    # the bracket that the search without a hint (halving, doubling and
+    # bisection) gives NoSliceBall at (Z, V)
+    SEARCH_BITS = ("0x1.14b1715917967p+0", "0x1.27850c58dab14p+0")
+
+    @staticmethod
+    def _bits(est):
+        return float.hex(float(est.lower)), float.hex(float(est.upper))
+
+    @pytest.mark.parametrize("factor", [2.0, 0.5, 0.0, math.nan], ids=["x2", "x0.5", "zero", "nan"])
+    def test_lying_hint_falls_back_to_the_search(self, factor):
+        est = infinitesimal_bounds(_lying_ball(factor), self.Z, self.V)
+        assert self._bits(est) == self.SEARCH_BITS
+
+    def test_honest_hint_only_tightens(self):
+        est = infinitesimal_bounds(NoSliceBall(np.zeros(2), 1.0), self.Z, self.V)
+        lower, upper = self.SEARCH_BITS
+        assert float.hex(est.lower) == lower
+        assert est.upper < float.fromhex(upper)
+        assert est.upper >= float.fromhex(upper) * (1 - 1e-8)
+
+    @pytest.mark.parametrize("domain", [
+        unit_ball(2), unit_bidisc(), ProductDomain((unit_ball(2), unit_disc())),
+    ], ids=["ball", "bidisc", "ball-x-disc"])
+    def test_two_certifier_calls_bracket_the_radius(self, monkeypatch, domain):
+        # two calls for the hinted bracket, at most one for the off-centre disc
+        calls = _count_certifier_calls(monkeypatch, type(domain))
+        rng = np.random.Generator(np.random.Philox(key=23))
+        for _ in range(10):
+            z = 0.6 * domain.sample_point(rng)
+            v = rng.normal(size=domain.dim) + 1j * rng.normal(size=domain.dim)
+            calls.clear()
+            infinitesimal_bounds(domain, z, v)
+            assert 2 <= len(calls) <= 4
+
+    def test_sublevel_bracket_unchanged(self):
+        # no hint: the halving, doubling and bisection search, bit for bit
+        domain = SublevelDomain(
+            field=psh.norm_squared(2), level=1.0, ambient=Ball(np.zeros(2), 1.2),
+            seed=np.zeros(2), lipschitz=4.8,
+        )
+        assert domain.centered_radius(self.Z, self.V) is None
+        est = infinitesimal_bounds(domain, self.Z, self.V)
+        assert self._bits(est) == ("0x1.c1be788fe6e42p-1", "0x1.3295fdbbcb088p+0")
 
 
 class TestSliceIdentity:
