@@ -153,10 +153,12 @@ class DomainOracle(ABC):
     # only tells a search where to look; what it says is never reported
     # unless the disc certifier confirms it.
 
-    def enclosing_polydisc(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return None
-
     def product_factors(self) -> tuple["DomainOracle", ...] | None:
+        """The factors of a Cartesian product, in coordinate order.
+
+        A domain that declares them takes its lower bounds from them, not
+        from its enclosing ball.
+        """
         return None
 
     def slice_region(self, p, q) -> tuple[complex, float] | None:
@@ -197,12 +199,15 @@ class DomainOracle(ABC):
         raise DomainError("sampling failed; domain volume too small?")
 
 
-def _unit_ball_sample(rng: np.random.Generator, dim: int) -> np.ndarray:
+def _unit_ball_sample(
+    rng: np.random.Generator, dim: int, scale: float = 1.0
+) -> np.ndarray:
+    """A uniform point of the ball of radius ``scale`` about 0 in C^dim."""
     vec = rng.normal(size=2 * dim)
     norm = np.linalg.norm(vec)
     if norm == 0:
         return np.zeros(dim, dtype=complex)
-    radius = rng.uniform() ** (1.0 / (2 * dim))
+    radius = scale * rng.uniform() ** (1.0 / (2 * dim))
     vec = vec / norm * radius
     return vec[:dim] + 1j * vec[dim:]
 
@@ -337,9 +342,6 @@ class Ball(DomainOracle):
     def enclosing_ball(self):
         return self.center.copy(), float(self.radius)
 
-    def enclosing_polydisc(self):
-        return self.center.copy(), np.full(self.dim, float(self.radius))
-
     def slice_region(self, p, q):
         p = as_point(p, self.dim)
         q = as_point(q, self.dim)
@@ -415,9 +417,6 @@ class Polydisc(DomainOracle):
 
     def enclosing_ball(self):
         return self.center.copy(), float(np.linalg.norm(self.radii))
-
-    def enclosing_polydisc(self):
-        return self.center.copy(), self.radii.copy()
 
     def product_factors(self):
         if self.dim == 1:
@@ -526,16 +525,6 @@ class ProductDomain(DomainOracle):
             centers.append(c)
             rad2 += r * r
         return np.concatenate(centers), math.sqrt(rad2)
-
-    def enclosing_polydisc(self):
-        centers, radii = [], []
-        for f in self.factors:
-            pd = f.enclosing_polydisc()
-            if pd is None:
-                return None
-            centers.append(pd[0])
-            radii.append(pd[1])
-        return np.concatenate(centers), np.concatenate(radii)
 
     def product_factors(self):
         return self.factors

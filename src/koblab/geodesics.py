@@ -22,7 +22,13 @@ import numpy as np
 
 from . import curves as curves_mod
 from .curves import SampledCurve
-from .domains import DimensionMismatchError, DomainOracle, PointOutsideDomainError, as_point
+from .domains import (
+    DimensionMismatchError,
+    DomainOracle,
+    PointOutsideDomainError,
+    _unit_ball_sample,
+    as_point,
+)
 from .kobayashi import (
     DiscChain,
     chain_upper_bound,
@@ -258,17 +264,6 @@ class VisibilityReport:
         }
 
 
-def _offset_stream(rng: np.random.Generator, dim: int, scale: float):
-    while True:
-        vec = rng.normal(size=2 * dim)
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            continue
-        radius = scale * rng.uniform() ** (1.0 / (2 * dim))
-        vec = vec / norm * radius
-        yield vec[:dim] + 1j * vec[dim:]
-
-
 def sample_cap_points(
     domain: DomainOracle,
     anchor,
@@ -288,11 +283,10 @@ def sample_cap_points(
     if scale < r_nbhd:
         raise ValueError("r_cap must be at least r_nbhd")
     out = []
-    stream = _offset_stream(rng, domain.dim, scale)
     for _ in range(CAP_STREAM_LIMIT):
         if len(out) >= count:
             break
-        vec = next(stream)
+        vec = _unit_ball_sample(rng, domain.dim, scale)
         if float(np.linalg.norm(vec)) >= r_nbhd:
             continue
         cand = anchor + vec

@@ -7,9 +7,9 @@ distance between the chain endpoints.  Rescaling by rho is how the working
 margin enters the reported bound; soundness is never traded for tightness.
 
 Lower bounds come from holomorphic distance-decreasing maps with closed
-forms: the enclosing ball's automorphism formula, scaled coordinate
-projections into an enclosing polydisc, and block projections onto declared
-product factors.
+forms, one model per domain: block projections onto declared product
+factors, or else the inclusion into the enclosing ball and its
+automorphism formula.
 
 Estimates never return a value on the wrong side of the truth; when no
 certificate is found within budget the upper bound is flagged as unknown
@@ -316,14 +316,22 @@ def chain_upper_bound(
 def ball_distance(center, radius: float, z, w) -> float:
     """Kobayashi distance of B(center, radius) via the automorphism formula.
 
-    Computes the automorphism image explicitly: the common alternative
-    1 - (1-|a|^2)(1-|b|^2)/|1-<b,a>|^2 cancels catastrophically for nearby
-    points and can overshoot the true distance, which a lower bound must
-    never do.
+    On the disc (dimension 1) this is ``poincare_distance`` of the rescaled
+    points.  Otherwise, and on the disc where ``poincare_distance`` refuses a
+    point or a pseudo-distance at its MAX_ABS cap, it computes the
+    automorphism image explicitly and clamps at the cap: the common
+    alternative 1 - (1-|a|^2)(1-|b|^2)/|1-<b,a>|^2 cancels catastrophically
+    for nearby points and can overshoot the true distance, which a lower
+    bound must never do.
     """
     center = as_point(center)
     a = (as_point(z, center.size) - center) / radius
     b = (as_point(w, center.size) - center) / radius
+    if center.size == 1:
+        try:
+            return poincare_distance(a[0], b[0])
+        except poincare.DiscPointError:
+            pass  # at the cap, where the clamped form below still answers
     na2 = float(np.sum(np.abs(a) ** 2))
     if na2 == 0.0:
         m = float(np.linalg.norm(b))
@@ -340,10 +348,19 @@ def ball_distance(center, radius: float, z, w) -> float:
 
 
 def ball_metric(center, radius: float, z, v) -> float:
-    """Infinitesimal Kobayashi metric of B(center, radius)."""
+    """Infinitesimal Kobayashi metric of B(center, radius).
+
+    On the disc it is |v| / radius / (1 - |a|^2), a = (z - center) / radius,
+    in scalar complex arithmetic, wherever 1 - |a|^2 is positive.
+    """
     center = as_point(center)
     a = (as_point(z, center.size) - center) / radius
-    u = as_point(v, center.size) / radius
+    v = as_point(v, center.size)
+    if center.size == 1:
+        s = 1.0 - abs(complex(a[0])) ** 2
+        if s > 0:
+            return abs(complex(v[0])) / radius / s
+    u = v / radius
     s = 1.0 - float(np.sum(np.abs(a) ** 2))
     if s <= 0:
         raise EstimationError("base point outside the open ball")
@@ -352,66 +369,57 @@ def ball_metric(center, radius: float, z, v) -> float:
 
 
 def lower_bound(domain: DomainOracle, z, w) -> tuple[float, dict]:
-    """Best available distance-decreasing-map lower bound with certificate."""
+    """Distance-decreasing-map lower bound with its certificate.
+
+    Each domain has one model.  A domain that declares ``product_factors``
+    takes the largest of its factors' lower bounds: the Kobayashi distance
+    of a product is the largest of its factors' distances, so the factors
+    dominate the product's own enclosing ball.  Any other domain takes the
+    distance of its enclosing ball, into which it maps by inclusion.
+    """
     z = as_point(z, domain.dim)
     w = as_point(w, domain.dim)
     best = 0.0
     cert: dict = {"kind": "trivial"}
-
-    center, radius = domain.enclosing_ball()
-    val = ball_distance(center, radius, z, w)
-    if val > best:
-        best = val
-        cert = {
-            "kind": "enclosing-ball",
-            "center": [[c.real, c.imag] for c in center],
-            "radius": radius,
-        }
-
-    pd = domain.enclosing_polydisc()
-    if pd is not None:
-        pc, pr = pd
-        for j in range(domain.dim):
-            try:
-                val = poincare_distance(
-                    (z[j] - pc[j]) / pr[j], (w[j] - pc[j]) / pr[j]
-                )
-            except poincare.DiscPointError:
-                continue
-            if val > best:
-                best = val
-                cert = {"kind": "projection", "index": j}
-
     factors = domain.product_factors()
-    if factors is not None:
-        for j, (f, block) in enumerate(factor_slices(factors)):
-            val, sub = lower_bound(f, z[block], w[block])
-            if val > best:
-                best = val
-                cert = {"kind": "factor-projection", "index": j, "inner": sub}
-
+    if factors is None:
+        center, radius = domain.enclosing_ball()
+        val = ball_distance(center, radius, z, w)
+        if val > best:
+            best = val
+            cert = {
+                "kind": "enclosing-ball",
+                "center": [[c.real, c.imag] for c in center],
+                "radius": radius,
+            }
+        return best, cert
+    for j, (f, block) in enumerate(factor_slices(factors)):
+        val, sub = lower_bound(f, z[block], w[block])
+        if val > best:
+            best = val
+            cert = {"kind": "factor-projection", "index": j, "inner": sub}
     return best, cert
 
 
 def metric_lower_bound(domain: DomainOracle, z, v) -> float:
+    """Lower bound for k(z; v) from the one model ``lower_bound`` uses.
+
+    A factor whose block of v is zero adds nothing, so v = 0 gives 0.
+    """
     z = as_point(z, domain.dim)
     v = as_point(v, domain.dim)
-    center, radius = domain.enclosing_ball()
-    best = ball_metric(center, radius, z, v)
-    pd = domain.enclosing_polydisc()
-    if pd is not None:
-        pc, pr = pd
-        for j in range(domain.dim):
-            zj = (z[j] - pc[j]) / pr[j]
-            s = 1.0 - abs(zj) ** 2
-            if s > 0:
-                best = max(best, (abs(v[j]) / pr[j]) / s)
     factors = domain.product_factors()
-    if factors is not None:
-        for f, block in factor_slices(factors):
-            if np.any(v[block] != 0):
-                best = max(best, metric_lower_bound(f, z[block], v[block]))
-    return float(best)
+    if factors is None:
+        center, radius = domain.enclosing_ball()
+        return ball_metric(center, radius, z, v)
+    return max(
+        (
+            metric_lower_bound(f, z[block], v[block])
+            for f, block in factor_slices(factors)
+            if np.any(v[block] != 0)
+        ),
+        default=0.0,
+    )
 
 
 def _slice_geometry(
@@ -746,10 +754,10 @@ def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
     disc zeta -> z + zeta r v/||v|| (bisection against the disc certifier),
     improved by an off-center disc on the same complex line whenever the
     line's parameter region is exactly known (the centered disc alone
-    overestimates k away from a domain's center).  Lower bound: closed forms
-    of the enclosing ball / polydisc / factors.  Both sides are exactly
-    homogeneous in v, and ||v|| is taken after scaling v by a power of two,
-    so no finite nonzero v overflows or underflows it.
+    overestimates k away from a domain's center).  Lower bound: the closed
+    form of the declared factors or else of the enclosing ball.  Both sides
+    are exactly homogeneous in v, and ||v|| is taken after scaling v by a
+    power of two, so no finite nonzero v overflows or underflows it.
 
     When the oracle names the radius in closed form (``centered_radius``),
     the bisection starts from a bracket around it that takes two certifier

@@ -136,93 +136,74 @@ def verify_ladder(ladder: DyadicLadder) -> LadderReport:
     parameters lie in the unit disc, both evaluation identities hold, and
     the parameters equal their dyadic closed forms b(nu) and b(nu)/4 (these
     feed the distance-term table).  Everything is checked in rational
-    arithmetic; failures carry witnesses.
+    arithmetic.  Each check runs over every nu on its own, and a failing
+    check carries its first failing nu as witness.
     """
     depth = ladder.depth
     if depth < 2:
         raise ValueError("need depth >= 2 to compare consecutive points")
-    checks: list[LadderCheck] = []
+    nus = range(1, depth + 1)
+    points = {nu: ladder.point(nu) for nu in range(1, depth + 2)}
+    segments = {nu: ladder.segment(nu) for nu in nus}
+    params = {nu: ladder.disc_parameters(nu) for nu in nus}
+    norms2 = {nu: x1 * x1 + x2 * x2 for nu, (x1, x2) in points.items()}
 
-    def record(item, name, passed, witness=""):
-        checks.append(LadderCheck(item, name, passed, witness))
+    # each problem maps nu to a failure message, or None where nu passes
+    def off_segment(nu):
+        return None if segments[nu].contains_exact(*points[nu]) else "point off segment"
 
-    # (a) membership and strict decrease to 0
-    on_segment = True
-    decreasing = True
-    witness_a = ""
-    prev_norm2 = None
-    for nu in range(1, depth + 1):
-        x1, x2 = ladder.point(nu)
-        seg = ladder.segment(nu)
-        if not seg.contains_exact(x1, x2):
-            on_segment = False
-            witness_a = f"nu={nu}: point off segment"
-            break
-        norm2 = x1 * x1 + x2 * x2
-        if prev_norm2 is not None and not norm2 < prev_norm2:
-            decreasing = False
-            witness_a = f"nu={nu}: norm did not decrease"
-            break
-        prev_norm2 = norm2
-    vanishing = prev_norm2 is not None and prev_norm2 < Fraction(1, 2 ** (2 * depth))
-    record("a", "points-on-segments", on_segment, witness_a)
-    record("a", "norms-strictly-decreasing", decreasing, witness_a)
-    record(
-        "a",
-        "norms-vanishing",
-        vanishing,
-        "" if vanishing else f"final norm^2 = {prev_norm2}",
-    )
+    def not_decreasing(nu):
+        return None if nu == 1 or norms2[nu] < norms2[nu - 1] else "norm did not decrease"
 
-    # (b) disc maps land on the segments: compare affine coefficients exactly
-    b_ok = True
-    witness_b = ""
-    for nu in range(1, depth + 1):
-        seg = ladder.segment(nu)
+    def disc_off_segment(nu):
+        seg = segments[nu]
         a0, a1, b0 = ladder.a(nu), ladder.a(nu + 1), ladder.b(nu)
         # z2(zeta) = slope * z1(zeta) + intercept as polynomials in zeta
         if b0 * (a1 + a0) != seg.slope * b0 or -a0 * a1 != seg.intercept:
-            b_ok = False
-            witness_b = f"nu={nu}: affine coefficients differ"
-            break
-        if not b0 <= seg.radius:
-            b_ok = False
-            witness_b = f"nu={nu}: |z1| bound exceeds segment radius"
-            break
-    record("b", "disc-image-on-segment", b_ok, witness_b)
+            return "affine coefficients differ"
+        return None if b0 <= seg.radius else "|z1| bound exceeds segment radius"
 
-    # (c) parameters, evaluation identities, dyadic closed forms
-    params_in_disc = True
-    eval_first = True
-    eval_second = True
-    dyadic_form = True
-    witness_c = ""
-    for nu in range(1, depth + 1):
-        zin, zout = ladder.disc_parameters(nu)
-        if not (abs(zin) < 1 and abs(zout) < 1):
-            params_in_disc = False
-            witness_c = f"nu={nu}: parameter outside unit disc"
-            break
-        if ladder.segment_map_exact(nu, zin) != ladder.point(nu):
-            eval_first = False
-            witness_c = f"nu={nu}: first evaluation identity fails"
-            break
-        if ladder.segment_map_exact(nu, zout) != ladder.point(nu + 1):
-            eval_second = False
-            witness_c = f"nu={nu}: second evaluation identity fails"
-            break
-        if zin != Fraction(1, 2 ** (nu + 1)) or zout != Fraction(1, 2 ** (nu + 3)):
-            dyadic_form = False
-            witness_c = (
-                f"nu={nu}: parameters ({zin}, {zout}) are not the dyadic values "
-                f"(1/2^{nu + 1}, 1/2^{nu + 3})"
-            )
-            break
-    record("c", "parameters-in-disc", params_in_disc, witness_c)
-    record("c", "map-hits-point", eval_first, witness_c)
-    record("c", "map-hits-next-point", eval_second, witness_c)
-    record("c", "parameters-dyadic-form", dyadic_form, witness_c)
+    def outside_disc(nu):
+        zin, zout = params[nu]
+        return None if abs(zin) < 1 and abs(zout) < 1 else "parameter outside unit disc"
 
+    def misses_point(nu):
+        hit = ladder.segment_map_exact(nu, params[nu][0]) == points[nu]
+        return None if hit else "first evaluation identity fails"
+
+    def misses_next_point(nu):
+        hit = ladder.segment_map_exact(nu, params[nu][1]) == points[nu + 1]
+        return None if hit else "second evaluation identity fails"
+
+    def not_dyadic(nu):
+        zin, zout = params[nu]
+        if zin == Fraction(1, 2 ** (nu + 1)) and zout == Fraction(1, 2 ** (nu + 3)):
+            return None
+        return (
+            f"parameters ({zin}, {zout}) are not the dyadic values "
+            f"(1/2^{nu + 1}, 1/2^{nu + 3})"
+        )
+
+    def first_failure(problem) -> str:
+        return next(
+            (f"nu={nu}: {msg}" for nu in nus if (msg := problem(nu)) is not None), ""
+        )
+
+    final = norms2[depth]
+    vanishing = "" if final < Fraction(1, 2 ** (2 * depth)) else f"final norm^2 = {final}"
+    checks = [
+        LadderCheck(item, name, not witness, witness)
+        for item, name, witness in (
+            ("a", "points-on-segments", first_failure(off_segment)),
+            ("a", "norms-strictly-decreasing", first_failure(not_decreasing)),
+            ("a", "norms-vanishing", vanishing),
+            ("b", "disc-image-on-segment", first_failure(disc_off_segment)),
+            ("c", "parameters-in-disc", first_failure(outside_disc)),
+            ("c", "map-hits-point", first_failure(misses_point)),
+            ("c", "map-hits-next-point", first_failure(misses_next_point)),
+            ("c", "parameters-dyadic-form", first_failure(not_dyadic)),
+        )
+    ]
     return LadderReport(depth=depth, checks=tuple(checks))
 
 

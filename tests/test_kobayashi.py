@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koblab import psh
 from koblab.cli import emit_plot_data, parse_config, run
@@ -21,6 +23,7 @@ from koblab.domains import (
     PointOutsideDomainError,
     ProductDomain,
     SublevelDomain,
+    factor_slices,
     slice_embed,
     unit_ball,
     unit_bidisc,
@@ -42,11 +45,14 @@ from koblab.kobayashi import (
     disc_in_domain,
     estimate_distance,
     infinitesimal_bounds,
+    ball_metric,
     lower_bound,
+    metric_lower_bound,
     search_upper_bound,
     slice_identity_check,
 )
 from koblab.ladder import DyadicLadder, chain_term_table
+from koblab.poincare import poincare_distance
 
 import exact_oracles
 from exact_oracles import disc_distance as oracle_disc
@@ -157,6 +163,122 @@ class TestLowerBound:
     def test_same_point(self):
         val, _ = lower_bound(unit_ball(3), [0.1, 0, 0], [0.1, 0, 0])
         assert val == 0.0
+
+
+def _disc_lower(center, radius, z, w):
+    """The Poincare distance of the rescaled points, in scalar arithmetic."""
+    return poincare_distance((z - center) / radius, (w - center) / radius)
+
+
+def _disc_metric(center, radius, z, v):
+    return abs(v) / radius / (1.0 - abs((z - center) / radius) ** 2)
+
+
+def _factor_lowers(domain, z, w):
+    """Each factor's bound from the disc formula or the unit ball's."""
+    out = []
+    for f, block in factor_slices(domain.product_factors()):
+        if f.dim == 1:
+            (c,), r = f.enclosing_ball()
+            out.append(_disc_lower(complex(c), r, complex(z[block][0]), complex(w[block][0])))
+        else:
+            out.append(ball_distance(np.zeros(f.dim), 1.0, z[block], w[block]))
+    return out
+
+
+def _factor_metrics(domain, z, v):
+    out = []
+    for f, block in factor_slices(domain.product_factors()):
+        if not np.any(v[block] != 0):
+            continue
+        if f.dim == 1:
+            (c,), r = f.enclosing_ball()
+            out.append(_disc_metric(complex(c), r, complex(z[block][0]), complex(v[block][0])))
+        else:
+            out.append(ball_metric(np.zeros(f.dim), 1.0, z[block], v[block]))
+    return out
+
+
+# disc points in the unit disc, and second points either anywhere in it or
+# within 1e-6 of the first
+_UNIT = st.complex_numbers(max_magnitude=0.999, allow_infinity=False, allow_nan=False)
+_NUDGE = st.complex_numbers(max_magnitude=1e-6, allow_infinity=False, allow_nan=False)
+_SPEED = st.complex_numbers(max_magnitude=10.0, allow_infinity=False, allow_nan=False)
+_DISCS = {
+    "unit-disc": unit_disc(),
+    "offset-polydisc": Polydisc(np.array([0.3 + 0.1j]), 0.7),
+    "offset-ball": Ball(np.array([-0.2 + 0.5j]), 1.3),
+}
+_PRODUCTS = {
+    "bidisc": unit_bidisc(),
+    "polydisc-1-0.5": Polydisc(np.zeros(2), [1.0, 0.5]),
+    "ball-x-disc": ProductDomain((unit_ball(2), unit_disc())),
+}
+
+
+def _pair(data, dim, scales):
+    z = np.array([data.draw(_UNIT) for _ in range(dim)]) * scales
+    if data.draw(st.booleans()):
+        w = np.array([data.draw(_UNIT) for _ in range(dim)]) * scales
+    else:
+        w = z + np.array([data.draw(_NUDGE) for _ in range(dim)])
+    return z, w
+
+
+class TestOneLowerBoundModel:
+    """A domain's lower bounds come from its factors, or else its enclosing ball."""
+
+    @staticmethod
+    def _check_disc(domain, z, w, v):
+        (c,), r = domain.enclosing_ball()
+        c = complex(c)
+        z, w = c + r * z, c + r * w
+        val, cert = lower_bound(domain, [z], [w])
+        assert val.hex() == _disc_lower(c, r, z, w).hex()
+        assert cert["kind"] == ("enclosing-ball" if val > 0 else "trivial")
+        assert metric_lower_bound(domain, [z], [v]).hex() == _disc_metric(c, r, z, v).hex()
+
+    @pytest.mark.parametrize("name", sorted(_DISCS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_disc_is_the_poincare_formula(self, name, data):
+        (z,), (w,) = _pair(data, 1, 1.0)
+        self._check_disc(_DISCS[name], z, w, data.draw(_SPEED))
+
+    @pytest.mark.parametrize("name", sorted(_DISCS))
+    def test_disc_formula_where_a_second_rounding_was_larger(self, name):
+        # on the unit disc the automorphism form rounds this distance and
+        # this metric one ulp or more above the Poincare formula
+        self._check_disc(_DISCS[name], -0.5 + 0j, -0.3 - 0.5j, 0.8 + 0.2j)
+
+    @pytest.mark.parametrize("name", sorted(_PRODUCTS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_product_takes_the_largest_factor(self, name, data):
+        domain = _PRODUCTS[name]
+        scales = np.ones(domain.dim)
+        if name == "polydisc-1-0.5":
+            scales[1] = 0.5
+        elif name == "ball-x-disc":
+            scales[:2] = 1.0 / math.sqrt(2.0)
+        z, w = _pair(data, domain.dim, scales)
+        v = np.array([data.draw(_SPEED) for _ in range(domain.dim)])
+        lowers = _factor_lowers(domain, z, w)
+        val, cert = lower_bound(domain, z, w)
+        assert val.hex() == max(lowers).hex()
+        if val > 0:
+            assert cert["kind"] == "factor-projection"
+            assert cert["index"] == lowers.index(val)
+        expected = max(_factor_metrics(domain, z, v), default=0.0)
+        assert metric_lower_bound(domain, z, v).hex() == expected.hex()
+
+    def test_zero_blocks_of_the_direction_are_skipped(self):
+        domain = ProductDomain((unit_ball(2), unit_disc()))
+        z = np.array([0.1, 0.2j, -0.6 - 0.7j])
+        v = np.array([0.0, 0.0, -0.2 + 0.4j])
+        expected = _disc_metric(0j, 1.0, z[2], v[2])
+        assert metric_lower_bound(domain, z, v).hex() == expected.hex()
+        assert metric_lower_bound(domain, z, np.zeros(3)) == 0.0
 
 
 class TestCountingOracle:

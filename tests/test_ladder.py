@@ -96,6 +96,34 @@ class TestVerifyLadder:
         failing = [c for c in report.checks if not c.passed]
         assert all(c.witness for c in failing)
 
+    def test_every_check_runs_past_an_earlier_failure(self):
+        # a = b puts zeta_in = 1 on the unit circle at every nu, so the
+        # disc check fails first; the dyadic form 1/4 fails on its own
+        ladder = DyadicLadder(10, a_fn=lambda nu: Fraction(1, 2 ** (nu + 1)))
+        checks = {c.name: c for c in verify_ladder(ladder).checks}
+        assert not checks["parameters-in-disc"].passed
+        assert checks["parameters-in-disc"].witness == "nu=1: parameter outside unit disc"
+        dyadic = checks["parameters-dyadic-form"]
+        assert not dyadic.passed
+        assert dyadic.witness.startswith("nu=1: parameters (1, 1/2) are not")
+        # both evaluation identities hold for any scales, so they pass with
+        # no witness
+        for name in ("map-hits-point", "map-hits-next-point"):
+            assert checks[name].passed and checks[name].witness == ""
+
+    def test_vanishing_reads_the_last_norm(self):
+        # the point at nu = 2 lies off its segment and its norm rises; the
+        # norms then fall to 4^-11
+        ladder = DyadicLadder(
+            10, a_fn=lambda nu: Fraction(1, 2) if nu == 2 else Fraction(1, 4 ** (nu + 1))
+        )
+        checks = {c.name: c for c in verify_ladder(ladder).checks}
+        decreasing = checks["norms-strictly-decreasing"]
+        assert not decreasing.passed
+        assert decreasing.witness == "nu=2: norm did not decrease"
+        assert checks["norms-vanishing"].passed
+        assert checks["points-on-segments"].witness == "nu=2: point off segment"
+
 
 class TestChainTermTable:
     def test_first_terms_against_oracle(self):
