@@ -104,11 +104,22 @@ _ATTRS = {v: k for k, v in _KEYS.items()}
 _FAULTS = (None, "ladder-base3")
 
 
+def _is_integer(val) -> bool:
+    # bool is a subclass of int, but JSON true and false are not numbers
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def parse_config(doc) -> ExperimentConfig:
     """Validate a JSON config document and fill defaults.
 
-    Unknown keys are rejected with the offending path named; every numeric
-    parameter must be positive (seed and budget may be zero).
+    Unknown keys are rejected with the offending path named.  N, pairs,
+    n_curves and dim must be positive integers, seed and budget nonnegative
+    integers; margin, r_nbhd and kappa finite and nonnegative (margin below
+    1), lambda finite and at least 1.  A JSON boolean is not a number.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -131,17 +142,17 @@ def parse_config(doc) -> ExperimentConfig:
     cfg = ExperimentConfig(**values)
     for attr in ("depth", "pairs", "n_curves", "dimension"):
         val = getattr(cfg, attr)
-        if not isinstance(val, int) or val < 1:
+        if not _is_integer(val) or val < 1:
             raise ConfigError(f"bad value at $.{_ATTRS[attr]}: need a positive integer")
     for attr in ("margin", "r_nbhd", "kappa", "lam"):
         val = getattr(cfg, attr)
-        if not isinstance(val, (int, float)) or not math.isfinite(val) or val < 0:
+        if not _is_number(val) or not math.isfinite(val) or val < 0:
             raise ConfigError(f"bad value at $.{_ATTRS[attr]}: need a finite nonnegative number")
     if cfg.lam < 1.0:
         raise ConfigError("bad value at $.lambda: need lambda >= 1")
-    if not isinstance(cfg.seed, int) or cfg.seed < 0:
+    if not _is_integer(cfg.seed) or cfg.seed < 0:
         raise ConfigError("bad value at $.seed: need a nonnegative integer")
-    if not isinstance(cfg.budget, int) or cfg.budget < 0:
+    if not _is_integer(cfg.budget) or cfg.budget < 0:
         raise ConfigError("bad value at $.budget: need a nonnegative integer")
     if not 0 <= cfg.margin < 1:
         raise ConfigError("bad value at $.margin: need 0 <= margin < 1")

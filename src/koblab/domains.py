@@ -10,6 +10,7 @@ as indeterminate rather than guessed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field as dataclass_field
@@ -39,7 +40,8 @@ def as_point(z, dim: int | None = None) -> np.ndarray:
     arr = np.array(z, dtype=complex, ndmin=1)  # always a copy
     if arr.ndim != 1:
         raise DomainError(f"expected a vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    # a Python loop over the few coordinates beats numpy's per-call overhead
+    if not all(map(cmath.isfinite, arr.tolist())):
         raise DomainError("non-finite coordinate")
     if dim is not None and arr.size != dim:
         raise DimensionMismatchError(f"dimension {arr.size}, expected {dim}")
@@ -165,7 +167,8 @@ class DomainOracle(ABC):
         """Round disc {zeta : p + zeta (q - p) in domain}, when exactly known.
 
         Returns (center, radius) in the zeta-plane, or None when the slice is
-        not a round disc the oracle can name.
+        not a round disc the oracle can name.  Once its disc is certified, it
+        gives ``search_upper_bound`` and ``infinitesimal_bounds`` their upper.
         """
         return None
 
@@ -353,7 +356,7 @@ class Ball(DomainOracle):
         s = complex(np.sum(a * np.conj(d)))
         zc = -s / nd2
         rc2 = (self.radius**2 - float(np.sum(np.abs(a) ** 2)) + abs(s) ** 2 / nd2) / nd2
-        if rc2 <= 0:
+        if not 0 < rc2 < math.inf:  # empty, or too large for a float disc
             return None
         return zc, math.sqrt(rc2)
 
@@ -394,6 +397,10 @@ class Polydisc(DomainOracle):
     center: np.ndarray
     radii: np.ndarray
     dim: int = dataclass_field(init=False)
+    # the coordinate discs as balls, None in dimension 1
+    _factors: tuple[Ball, ...] | None = dataclass_field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         center = as_point(self.center)
@@ -407,6 +414,10 @@ class Polydisc(DomainOracle):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "dim", center.size)
+        factors = None
+        if center.size > 1:
+            factors = tuple(Ball(np.array([c]), float(r)) for c, r in zip(center, radii))
+        object.__setattr__(self, "_factors", factors)
 
     def _gaps(self, points):
         # the smallest radius - |offset| is positive exactly when every
@@ -419,25 +430,24 @@ class Polydisc(DomainOracle):
         return self.center.copy(), float(np.linalg.norm(self.radii))
 
     def product_factors(self):
-        if self.dim == 1:
-            return None
-        return tuple(
-            Ball(np.array([c]), float(r)) for c, r in zip(self.center, self.radii)
-        )
+        return self._factors
 
     def slice_region(self, p, q):
         p = as_point(p, self.dim)
         q = as_point(q, self.dim)
         d = q - p
         discs = []
-        for j in range(self.dim):
-            if d[j] == 0:
-                if abs(p[j] - self.center[j]) >= self.radii[j]:
+        # a step so short that its disc overflows names no float disc
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(self.dim):
+                if d[j] == 0:
+                    if abs(p[j] - self.center[j]) >= self.radii[j]:
+                        return None
+                    continue
+                zc, rc = (self.center[j] - p[j]) / d[j], self.radii[j] / abs(d[j])
+                if not (cmath.isfinite(zc) and math.isfinite(rc)):
                     return None
-                continue
-            discs.append(
-                ((self.center[j] - p[j]) / d[j], self.radii[j] / abs(d[j]))
-            )
+                discs.append((zc, rc))
         return _nested_intersection(discs)
 
     def centered_radius(self, z, v):

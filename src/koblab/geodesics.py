@@ -65,7 +65,7 @@ def build_chain_curve(
     pieces: list[SampledCurve] = []
     for link in chain.links:
         inner = disc_geodesic(link.zeta_in, link.zeta_out, samples_per_disc)
-        pts = np.array([link.disc.at(zeta) for zeta in inner.points[:, 0]])
+        pts = link.disc.center + inner.points[:, 0, None] * link.disc.direction
         pts[0] = link.start
         pts[-1] = link.end
         pieces.append(SampledCurve(inner.params, pts))

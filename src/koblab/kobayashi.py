@@ -428,12 +428,13 @@ def _slice_geometry(
     """Cost, working radius and parameters of a link from D(zc, rc) through 0, 1.
 
     The working radius shrinks rc by the margin but never past the
-    parameters themselves; None when 0 or 1 lies outside D(zc, rc), when a
+    parameters themselves; None when 0 or 1 lies outside D(zc, rc), when rc
+    is not finite (a disc that large has no float direction), when a
     parameter rounds onto the unit circle, or when the pseudo-distance
     rounds to MAX_ABS (atanh of the cap would understate the cost).
     """
     reach = max(abs(0 - zc), abs(1 - zc))
-    if reach >= rc:
+    if not reach < rc < math.inf:
         return None
     rho = 1.0 - margin
     if reach / rc >= rho:
@@ -625,6 +626,14 @@ def search_upper_bound(
     DiscChain, or a dict for product-combined bounds, or None with value None
     when nothing was certified (the caller reports that as unknown, never as
     a number).
+
+    A declared product first bounds each factor on its own and takes the
+    largest (the Kobayashi distance of a product is the largest of its
+    factors').  Then the oracle's ``slice_region`` decides: an exact region
+    costs one certification; without one, the generic search (segment ball
+    chain, bisection over parameter-disc centers, compass refinement) runs
+    only when there is no product bound, i.e. when some factor found no
+    upper.
     """
     z = as_point(z, domain.dim)
     w = as_point(w, domain.dim)
@@ -674,12 +683,15 @@ def search_upper_bound(
         linked = _slice_link(oracle, z, w, region[0], region[1], 1e-9)
         if linked is not None:
             candidates.append((linked[0], DiscChain(links=(linked[1],)), "slice"))
-    else:
-        # two phases: the segment ball chain is the cheap answer that always
-        # exists; then the cheapest comfortably certified disc over a few
-        # centers (bisection, keeping 2/3 of the budget back), refined by
-        # compass search with the rest.  Both phases keep only links they
-        # certified themselves, so nothing is certified twice.
+    elif not candidates:
+        # no product bound: a chain on the product costs at least every
+        # factor's distance, so with tight factor uppers the search below
+        # cannot undercut that bound and runs only without it.  Two phases:
+        # the segment ball chain is the cheap answer that always exists;
+        # then the cheapest comfortably certified disc over a few centers
+        # (bisection, keeping 2/3 of the budget back), refined by compass
+        # search with the rest.  Both phases keep only links they certified
+        # themselves, so nothing is certified twice.
         fallback = _segment_ball_chain(z, w, oracle)
         if fallback is not None:
             candidates.append((fallback[0], DiscChain(links=tuple(fallback[1])), "ball-chain"))
@@ -750,22 +762,18 @@ def estimate_distance(
 def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
     """Bracket for the infinitesimal metric k(z; v).
 
-    Upper bound: ||v|| / r for the largest certified radius r of the affine
-    disc zeta -> z + zeta r v/||v|| (bisection against the disc certifier),
-    improved by an off-center disc on the same complex line whenever the
-    line's parameter region is exactly known (the centered disc alone
-    overestimates k away from a domain's center).  Lower bound: the closed
-    form of the declared factors or else of the enclosing ball.  Both sides
-    are exactly homogeneous in v, and ||v|| is taken after scaling v by a
-    power of two, so no finite nonzero v overflows or underflows it.
-
-    When the oracle names the radius in closed form (``centered_radius``),
-    the bisection starts from a bracket around it that takes two certifier
-    calls: just below it must certify and just above it must not.  The hint
-    is not a certificate; when either call disagrees with it (near the
-    boundary, where the certifier's rounding moves its threshold, or when
-    the hint is wrong) the search runs as without one, by halving, doubling
-    and bisection.
+    Upper bound: when the oracle names the parameter region of the complex
+    line through z along v (``slice_region``) and certifies it, the disc on
+    that region through z gives the upper.  Away from the region's center
+    and rim this off-center disc beats the centered one, so the search for
+    the largest certified radius r of the centered disc
+    zeta -> z + zeta r v/||v|| runs only without such a region, or when z
+    sits within the working margin of the region's center or rim; then the
+    smaller upper is kept.  Lower
+    bound: the closed form of the declared factors or else of the enclosing
+    ball.  Both sides are exactly homogeneous in v, and ||v|| is taken after
+    scaling v by a power of two, so no finite nonzero v overflows or
+    underflows it.
     """
     z = as_point(z, domain.dim)
     v = as_point(v, domain.dim)
@@ -789,6 +797,52 @@ def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
     except OverflowError:
         raise EstimationError("the norm of the direction overflows") from None
     rho = 1.0 - 1e-9
+
+    # region of {eta : z + eta unit in domain}; psi(xi) = z + (zc + rc rho xi) unit
+    # carries xi0 to z with psi'(xi0) = rc rho unit, so
+    # k(z; unit) <= 1 / (rc rho (1 - |xi0|^2)).  That is below the centered
+    # disc's 1 / (rc - |zc|) exactly when rho |xi0| (1 - |xi0|) > 1 - rho;
+    # within twice that of the region's center or rim the centered search
+    # still runs.
+    unit_upper = math.inf
+    centered = True
+    region = domain.slice_region(z, z + unit)
+    if region is not None:
+        zc, rc = region
+        xi0 = -zc / (rc * rho)
+        if abs(xi0) < 1.0:
+            result = domain.certify_affine_disc(
+                z + zc * unit, (rc * rho) * unit, 1.0, max_cells=METRIC_CELLS
+            )
+            if result.certified:
+                unit_upper = 1.0 / (rc * rho * (1.0 - abs(xi0) ** 2))
+                centered = abs(xi0) * (1.0 - abs(xi0)) <= 2.0 * (1.0 - rho)
+    if centered:
+        unit_upper = min(unit_upper, _centered_unit_upper(domain, z, unit, gap, rho))
+
+    upper = speed * unit_upper
+    if upper == math.inf:
+        raise EstimationError("the metric overflows")
+    lower = speed * metric_lower_bound(domain, z, unit)
+    if lower > upper + BRACKET_TOL:
+        raise EstimationError("metric soundness violation")
+    return MetricEstimate(lower=min(lower, upper), upper=upper)
+
+
+def _centered_unit_upper(
+    domain: DomainOracle, z: np.ndarray, unit: np.ndarray, gap: float, rho: float
+) -> float:
+    """1 / (r rho) for the largest certified radius r of zeta -> z + zeta r unit.
+
+    The disc of radius r is certified on parameter radius rho (against the
+    disc certifier).  When the oracle names the radius in closed form
+    (``centered_radius``), the bisection starts from a bracket around it
+    that takes two certifier calls: just below it must certify and just
+    above it must not.  The hint is not a certificate; when either call
+    disagrees with it (near the boundary, where the certifier's rounding
+    moves its threshold, or when the hint is wrong) the search runs as
+    without one, by halving from ``gap``, doubling and bisection.
+    """
 
     def certified(r: float) -> bool:
         res = domain.certify_affine_disc(z, r * unit, rho, max_cells=METRIC_CELLS)
@@ -818,29 +872,7 @@ def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
             lo = mid
         else:
             hi = mid
-    unit_upper = 1.0 / (lo * rho)
-
-    # region of {eta : z + eta unit in domain}; psi(xi) = z + (zc + rc rho xi) unit
-    # carries xi0 to z with psi'(xi0) = rc rho unit, so
-    # k(z; unit) <= 1 / (rc rho (1 - |xi0|^2))
-    region = domain.slice_region(z, z + unit)
-    if region is not None:
-        zc, rc = region
-        xi0 = -zc / (rc * rho)
-        if abs(xi0) < 1.0:
-            result = domain.certify_affine_disc(
-                z + zc * unit, (rc * rho) * unit, 1.0, max_cells=METRIC_CELLS
-            )
-            if result.certified:
-                unit_upper = min(unit_upper, 1.0 / (rc * rho * (1.0 - abs(xi0) ** 2)))
-
-    upper = speed * unit_upper
-    if upper == math.inf:
-        raise EstimationError("the metric overflows")
-    lower = speed * metric_lower_bound(domain, z, unit)
-    if lower > upper + BRACKET_TOL:
-        raise EstimationError("metric soundness violation")
-    return MetricEstimate(lower=min(lower, upper), upper=upper)
+    return 1.0 / (lo * rho)
 
 
 def _hinted_bracket(hint, rho: float, certified) -> tuple[float, float] | None:

@@ -69,6 +69,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\$\.lambda"):
             parse_config({"experiment": "visibility-demo", "lambda": 0.5})
 
+    @pytest.mark.parametrize("key, value", [
+        ("N", True), ("pairs", True), ("n_curves", False), ("dim", True),
+        ("seed", True), ("budget", False),
+        ("margin", False), ("r_nbhd", True), ("kappa", False), ("lambda", True),
+    ])
+    def test_json_booleans_are_not_numbers(self, key, value):
+        doc = json.dumps({"experiment": "verify-ladder", key: value})
+        with pytest.raises(ConfigError, match=rf"bad value at \$\.{key}:"):
+            parse_config(doc)
+
+    def test_zero_where_zero_is_allowed(self):
+        cfg = parse_config(
+            {"experiment": "visibility-demo", "margin": 0, "r_nbhd": 0.0, "kappa": 0,
+             "seed": 0, "budget": 0}
+        )
+        assert (cfg.margin, cfg.r_nbhd, cfg.kappa, cfg.seed, cfg.budget) == (0, 0, 0, 0, 0)
+
     def test_domain_key_rejected(self):
         with pytest.raises(ConfigError, match=r"\$\.domain"):
             parse_config({"experiment": "verify-ladder", "domain": {"kind": "ball"}})

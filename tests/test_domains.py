@@ -105,6 +105,20 @@ class TestEnclosingBall:
             assert np.linalg.norm(z - center) < radius
 
 
+class TestPolydiscFactors:
+    def test_built_once_and_equal_to_coordinate_balls(self):
+        domain = Polydisc(np.array([0.1j, -0.3, 0.2 + 0.2j]), [1.0, 0.5, 2.0])
+        factors = domain.product_factors()
+        assert factors is domain.product_factors()
+        assert factors == tuple(
+            Ball(np.array([c]), float(r)) for c, r in zip(domain.center, domain.radii)
+        )
+        assert "_factors" not in repr(domain)
+
+    def test_disc_has_no_factors(self):
+        assert unit_disc().product_factors() is None
+
+
 class TestSliceEmbed:
     def test_padding(self):
         out = slice_embed([1 / 16, 1 / 256], 4)
@@ -376,6 +390,16 @@ class TestAsPoint:
     def test_rejects_nonfinite_parts(self, bad):
         with pytest.raises(DomainError, match="non-finite"):
             as_point(np.array([0.5, bad]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.complex_numbers(), max_size=4))
+    def test_rejects_what_numpy_calls_nonfinite(self, coords):
+        arr = np.array(coords, dtype=complex)
+        if np.isfinite(arr).all():
+            assert np.array_equal(as_point(arr), arr)
+        else:
+            with pytest.raises(DomainError, match="non-finite"):
+                as_point(arr)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_wrong_dim_raises(self, dim):

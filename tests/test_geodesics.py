@@ -94,6 +94,19 @@ class TestBuildChainCurve:
             cost = chain_upper_bound(unit_bidisc(), chain, margin=0.0)
             assert abs(curve.param_length - cost) <= 1e-9
 
+    def test_samples_are_the_disc_points(self):
+        # each link's samples are disc.at of its geodesic's parameters, bit
+        # for bit, with the link's own endpoints at both ends
+        rng = np.random.Generator(np.random.Philox(key=31))
+        for _ in range(5):
+            chain = random_geodesic_chain(rng)
+            curve = build_chain_curve(unit_bidisc(), chain, 120)
+            link = chain.links[0]
+            inner = geodesics.disc_geodesic(link.zeta_in, link.zeta_out, 120)
+            expected = np.array([link.disc.at(zeta) for zeta in inner.points[:, 0]])
+            expected[0], expected[-1] = link.start, link.end
+            assert curve.points.tobytes() == expected.tobytes()
+
     def test_uncertified_chain_rejected(self):
         disc = AnalyticDisc([0.0, 0.0], [2.0, 0.0])
         chain = DiscChain(links=(ChainLink(disc, 0.0, 0.4),))

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from koblab import psh
@@ -19,6 +19,7 @@ from koblab.cli import emit_plot_data, parse_config, run
 from koblab.domains import (
     Ball,
     DimensionMismatchError,
+    DomainOracle,
     Polydisc,
     PointOutsideDomainError,
     ProductDomain,
@@ -225,6 +226,43 @@ def _pair(data, dim, scales):
     return z, w
 
 
+def _product_pair(data, name):
+    """A pair of the product ``_PRODUCTS[name]``, each block inside its factor."""
+    domain = _PRODUCTS[name]
+    scales = np.ones(domain.dim)
+    if name == "polydisc-1-0.5":
+        scales[1] = 0.5
+    elif name == "ball-x-disc":
+        scales[:2] = 1.0 / math.sqrt(2.0)
+    return _pair(data, domain.dim, scales)
+
+
+class Hiding(DomainOracle):
+    """``inner`` with one optional hook, ``product_factors`` or ``slice_region``,
+    answering None; everything else is asked of ``inner``."""
+
+    def __init__(self, inner, hook):
+        self.inner, self.hook, self.dim = inner, hook, inner.dim
+
+    def _gaps(self, points):
+        return self.inner._gaps(points)
+
+    def enclosing_ball(self):
+        return self.inner.enclosing_ball()
+
+    def product_factors(self):
+        return None if self.hook == "product_factors" else self.inner.product_factors()
+
+    def slice_region(self, p, q):
+        return None if self.hook == "slice_region" else self.inner.slice_region(p, q)
+
+    def centered_radius(self, z, v):
+        return self.inner.centered_radius(z, v)
+
+    def certify_affine_disc(self, center, direction, rho, max_cells=4096):
+        return self.inner.certify_affine_disc(center, direction, rho, max_cells)
+
+
 class TestOneLowerBoundModel:
     """A domain's lower bounds come from its factors, or else its enclosing ball."""
 
@@ -256,12 +294,7 @@ class TestOneLowerBoundModel:
     @given(data=st.data())
     def test_product_takes_the_largest_factor(self, name, data):
         domain = _PRODUCTS[name]
-        scales = np.ones(domain.dim)
-        if name == "polydisc-1-0.5":
-            scales[1] = 0.5
-        elif name == "ball-x-disc":
-            scales[:2] = 1.0 / math.sqrt(2.0)
-        z, w = _pair(data, domain.dim, scales)
+        z, w = _product_pair(data, name)
         v = np.array([data.draw(_SPEED) for _ in range(domain.dim)])
         lowers = _factor_lowers(domain, z, w)
         val, cert = lower_bound(domain, z, w)
@@ -312,6 +345,39 @@ class TestSearchUpperBound:
     def test_zero_budget_flags_exhausted(self):
         val, cert, used, method = search_upper_bound(unit_bidisc(), [0, 0], [0.5, 0], budget=0)
         assert val is None and method == "exhausted"
+
+    @pytest.mark.parametrize("domain, z, w", [
+        (unit_bidisc(), [-0.6, -0.5j], [0.2, 0.4]),
+        (ProductDomain((unit_ball(2), unit_disc())), [0.3, 0.2j, -0.4], [-0.2, 0.1, 0.5j]),
+    ], ids=["bidisc", "ball-x-disc"])
+    def test_product_bound_ends_the_search(self, domain, z, w):
+        # the factors' slice discs are not nested, so the pair has no exact
+        # region; the factor searches and the product's one slice_region
+        # question are all the budget it spends
+        z, w = np.array(z, dtype=complex), np.array(w, dtype=complex)
+        assert domain.slice_region(z, w) is None
+        factors = [
+            search_upper_bound(f, z[block], w[block])
+            for f, block in factor_slices(domain.product_factors())
+        ]
+        val, cert, used, method = search_upper_bound(domain, z, w)
+        assert method == "product"
+        assert val == max(bound for bound, *_ in factors)
+        assert used == sum(spent for _, _, spent, _ in factors) + 1
+
+    @pytest.mark.parametrize("name", sorted(_PRODUCTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_no_search_undercuts_the_product_bound(self, name, data):
+        # the generic search that the product bound now skips, run with the
+        # factors hidden, never finds anything lower
+        domain = _PRODUCTS[name]
+        z, w = _product_pair(data, name)
+        assume(not np.array_equal(z, w) and domain.slice_region(z, w) is None)
+        val, _, _, method = search_upper_bound(domain, z, w)
+        assume(method == "product")
+        full, _, _, _ = search_upper_bound(Hiding(domain, "product_factors"), z, w)
+        assert full is None or full >= val
 
 
 class TestEstimateDistance:
@@ -370,6 +436,26 @@ class TestClosePointStability:
         est = estimate_distance(unit_ball(2), z, w)
         assert est.lower <= truth + 1e-15
         assert truth <= est.upper + 2e-15
+
+    @pytest.mark.parametrize("step", [5e-324, 1e-310, 1e-200, 1e-160])
+    @pytest.mark.parametrize("name", ["disc", "bidisc", "ball", "ball-x-disc"])
+    def test_steps_whose_slice_disc_overflows(self, name, step):
+        # the slice disc of so short a step is too large for a float: the
+        # oracles name no region, and the search builds no non-finite disc
+        domain, z = {
+            "disc": (unit_disc(), np.array([0.3 + 0.2j])),
+            "bidisc": (unit_bidisc(), np.array([0.3 + 0.2j, -0.1j])),
+            "ball": (unit_ball(2), np.array([0.3 + 0.2j, -0.1j])),
+            "ball-x-disc": (
+                ProductDomain((unit_ball(2), unit_disc())), np.array([0.3 + 0.2j, -0.1j, 0.4])
+            ),
+        }[name]
+        w = z.copy()
+        w[-1] += step
+        est = estimate_distance(domain, z, w)
+        assert est.upper is None or est.upper >= est.lower
+        if name in ("disc", "bidisc"):
+            assert est.upper is None or est.upper >= oracle_polydisc(z, w)
 
     def test_ball_distance_proportional_at_small_scale(self):
         # the enclosing-ball form must scale linearly, not bottom out in noise
@@ -537,6 +623,44 @@ def _count_certifier_calls(monkeypatch, cls):
     return calls
 
 
+_METRIC_DOMAINS = [unit_ball(2), unit_bidisc(), ProductDomain((unit_ball(2), unit_disc()))]
+_METRIC_IDS = ["ball", "bidisc", "ball-x-disc"]
+
+
+def _one_factor_direction(domain, rng, k):
+    """A random direction; on a product it moves only factor k (cyclically),
+    so the complex line through any point has an exact slice region."""
+    v = rng.normal(size=domain.dim) + 1j * rng.normal(size=domain.dim)
+    factors = domain.product_factors()
+    if factors is not None:
+        for j, (_, block) in enumerate(factor_slices(factors)):
+            if j != k % len(factors):
+                v[block] = 0
+    return v
+
+
+def _off_centre_upper(domain, z, v):
+    """The metric upper of the off-centre disc on the exact slice region of
+    the line through z along v, as ``infinitesimal_bounds`` forms it; None
+    when there is no region or its disc is not certified."""
+    parts = v.view(float)
+    exponent = math.frexp(float(np.max(np.abs(parts))))[1]
+    scaled = np.ldexp(parts, -exponent).view(complex)
+    norm = float(np.linalg.norm(scaled))
+    unit, speed = scaled / norm, math.ldexp(norm, exponent)
+    region = domain.slice_region(z, z + unit)
+    if region is None:
+        return None
+    zc, rc = region
+    rho = 1.0 - 1e-9
+    xi0 = -zc / (rc * rho)
+    if abs(xi0) >= 1.0:
+        return None
+    if not domain.certify_affine_disc(z + zc * unit, (rc * rho) * unit, 1.0).certified:
+        return None
+    return speed * (1.0 / (rc * rho * (1.0 - abs(xi0) ** 2)))
+
+
 class TestCenteredRadiusHint:
     Z = np.array([0.3 + 0.1j, -0.2j])
     V = np.array([0.6, 0.8j])
@@ -560,19 +684,55 @@ class TestCenteredRadiusHint:
         assert est.upper < float.fromhex(upper)
         assert est.upper >= float.fromhex(upper) * (1 - 1e-8)
 
-    @pytest.mark.parametrize("domain", [
-        unit_ball(2), unit_bidisc(), ProductDomain((unit_ball(2), unit_disc())),
-    ], ids=["ball", "bidisc", "ball-x-disc"])
-    def test_two_certifier_calls_bracket_the_radius(self, monkeypatch, domain):
-        # two calls for the hinted bracket, at most one for the off-centre disc
+    @pytest.mark.parametrize("domain", _METRIC_DOMAINS, ids=_METRIC_IDS)
+    def test_one_call_off_the_slice_centre(self, monkeypatch, domain):
+        # the certified off-centre disc is the answer; no radius search runs
         calls = _count_certifier_calls(monkeypatch, type(domain))
         rng = np.random.Generator(np.random.Philox(key=23))
-        for _ in range(10):
+        for k in range(10):
             z = 0.6 * domain.sample_point(rng)
-            v = rng.normal(size=domain.dim) + 1j * rng.normal(size=domain.dim)
+            v = _one_factor_direction(domain, rng, k)
+            assert domain.slice_region(z, z + v) is not None
             calls.clear()
             infinitesimal_bounds(domain, z, v)
-            assert 2 <= len(calls) <= 4
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("domain", _METRIC_DOMAINS, ids=_METRIC_IDS)
+    def test_slice_centre_adds_the_two_hinted_calls(self, monkeypatch, domain):
+        # at z = 0 the centred disc is the better one: the off-centre disc,
+        # then the hinted bracket
+        calls = _count_certifier_calls(monkeypatch, type(domain))
+        rng = np.random.Generator(np.random.Philox(key=29))
+        for _ in range(5):
+            v = rng.normal(size=domain.dim) + 1j * rng.normal(size=domain.dim)
+            calls.clear()
+            infinitesimal_bounds(domain, np.zeros(domain.dim), v)
+            assert len(calls) == 3
+
+    @pytest.mark.parametrize("index", range(3), ids=_METRIC_IDS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_region_first_upper_is_the_smaller_disc(self, index, data):
+        # bit for bit the smaller of the off-centre disc's upper and the
+        # centred search's, near the centre too, where the centred disc wins
+        domain = _METRIC_DOMAINS[index]
+        scales = np.full(domain.dim, 0.6)
+        scales *= 10.0 ** -data.draw(st.integers(0, 14))
+        z = np.array([data.draw(_UNIT) for _ in range(domain.dim)]) * scales
+        v = np.array([data.draw(_SPEED) for _ in range(domain.dim)])
+        factors = domain.product_factors()
+        if factors is not None and data.draw(st.booleans()):
+            keep = data.draw(st.integers(0, len(factors) - 1))
+            for j, (_, block) in enumerate(factor_slices(factors)):
+                if j != keep:
+                    v[block] = 0
+        assume(np.any(v != 0) and domain.contains(z))
+        off_centre = _off_centre_upper(domain, z, v)
+        assume(off_centre is not None)
+        centred = infinitesimal_bounds(Hiding(domain, "slice_region"), z, v)
+        est = infinitesimal_bounds(domain, z, v)
+        assert est.upper.hex() == min(off_centre, centred.upper).hex()
+        assert est.lower.hex() == centred.lower.hex()
 
     def test_sublevel_bracket_unchanged(self):
         # no hint: the halving, doubling and bisection search, bit for bit
