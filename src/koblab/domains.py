@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
@@ -221,8 +222,6 @@ def _first(gaps: np.ndarray) -> float | None:
     return None if math.isnan(gap) else gap
 
 
-# probes the covering evaluates per batch; bounds its working memory
-COVER_BATCH = 128
 # a split cell's children, in charging order, in units of their half-width
 _QUADRANTS = np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j])
 
@@ -241,12 +240,14 @@ def _cover_certify(
 
     The walk is level-synchronous: the root square circumscribing the disc,
     then the children of every uncertified cell, in the order their parents
-    were probed, each parent's four children in ``_QUADRANTS`` order.  A
-    level's probes are evaluated in batches of at most ``COVER_BATCH`` rows.
+    were probed, each parent's four children in ``_QUADRANTS`` order.  Each
+    level's probes are evaluated in one ``clearances`` call, so the working
+    memory is one level: at most ``max_cells / 2`` probes, cut from the four
+    children of each uncertified cell of the level before.
 
     The meter charges probes in that order: two calls (membership and
     distance) per probe, one for a rejecting probe.  The first rejecting
-    probe is the witness; probes after it in its batch were evaluated but
+    probe is the witness; probes after it in its level were evaluated but
     are not charged.  The walk answers INDETERMINATE, charging nothing
     more, before any probe that would take the calls past ``max_cells``,
     and also when cells stay uncertified at half-width below rho * 2^-14.
@@ -269,51 +270,40 @@ def _cover_certify(
         )
     calls = 0
     half = rho
-    level = [np.zeros(1, dtype=complex)]  # batches of cell centers
+    cells = np.zeros(1, dtype=complex)  # the centers of one level's cells
     while True:
         diagonal = half * math.sqrt(2.0)
-        finest = half < rho * 2.0 ** -14
-        uncertified = []
-        for cells in level:
-            # np.hypot, unlike np.abs, matches Python's abs of a complex
-            cells = cells[np.hypot(cells.real, cells.imag) - diagonal <= rho]
-            affordable = max(0, max_cells - calls) // 2  # a probe costs two calls
-            over_cap = cells.size > affordable
-            cells = cells[:affordable]
-            # clamp each center into the disc: probe = zeta_c / |zeta_c| * rho
-            radius = np.hypot(cells.real, cells.imag)
-            probes = cells.copy()
-            out = radius > rho
-            probes.real[out] = cells.real[out] / radius[out] * rho
-            probes.imag[out] = cells.imag[out] / radius[out] * rho
-            gaps = clearances(center + probes[:, None] * direction)
-            inside = gaps > 0
-            if not inside.all():
-                first = int(inside.argmin())
-                return CertifyResult(
-                    CertStatus.REJECTED, rho, witness=complex(probes[first]),
-                    oracle_calls=calls + 2 * first + 1,
-                )
-            calls += 2 * cells.size
-            if over_cap:
-                return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=calls)
-            offset = cells - probes
-            covered = gaps / speed >= np.hypot(offset.real, offset.imag) + diagonal
-            uncertified.append(cells[~covered])
-        parents = np.concatenate(uncertified)
+        # np.hypot, unlike np.abs, matches Python's abs of a complex
+        radius = np.hypot(cells.real, cells.imag)
+        near = radius - diagonal <= rho
+        affordable = max(0, max_cells - calls) // 2  # a probe costs two calls
+        cells, radius = cells[near][:affordable], radius[near][:affordable]
+        over_cap = np.count_nonzero(near) > affordable
+        # clamp each center into the disc: probe = zeta_c / |zeta_c| * rho
+        probes = cells.copy()
+        out = radius > rho
+        probes.real[out] = cells.real[out] / radius[out] * rho
+        probes.imag[out] = cells.imag[out] / radius[out] * rho
+        gaps = clearances(center + probes[:, None] * direction)
+        inside = gaps > 0
+        if not inside.all():
+            first = int(inside.argmin())
+            return CertifyResult(
+                CertStatus.REJECTED, rho, witness=complex(probes[first]),
+                oracle_calls=calls + 2 * first + 1,
+            )
+        calls += 2 * cells.size
+        if over_cap:
+            return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=calls)
+        offset = cells - probes
+        covered = gaps / speed >= np.hypot(offset.real, offset.imag) + diagonal
+        parents = cells[~covered]
         if parents.size == 0:
             return CertifyResult(CertStatus.CERTIFIED, rho, oracle_calls=calls)
-        if finest:
+        if half < rho * 2.0 ** -14:
             return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=calls)
         half /= 2.0
-        level = _children(parents, half)
-
-
-def _children(parents: np.ndarray, half: float):
-    """The quadtree children of ``parents``, in batches of ``COVER_BATCH``."""
-    step = COVER_BATCH // _QUADRANTS.size
-    for start in range(0, parents.size, step):
-        yield (parents[start : start + step, None] + half * _QUADRANTS).ravel()
+        cells = (parents[:, None] + half * _QUADRANTS).ravel()
 
 
 @dataclass(frozen=True)
@@ -350,6 +340,13 @@ class Ball(DomainOracle):
         q = as_point(q, self.dim)
         d = q - p
         nd2 = float(np.sum(np.abs(d) ** 2))
+        scale = 1.0
+        if nd2 < sys.float_info.min and d.any():
+            # |d|^2 has lost d's bits: slice along the exact multiple 2^600 d,
+            # whose disc is 2^600 times smaller
+            scale = 2.0**600
+            d = d * scale
+            nd2 = float(np.sum(np.abs(d) ** 2))
         if nd2 == 0:
             return None
         a = p - self.center
@@ -358,7 +355,10 @@ class Ball(DomainOracle):
         rc2 = (self.radius**2 - float(np.sum(np.abs(a) ** 2)) + abs(s) ** 2 / nd2) / nd2
         if not 0 < rc2 < math.inf:  # empty, or too large for a float disc
             return None
-        return zc, math.sqrt(rc2)
+        zc, rc = complex(zc.real * scale, zc.imag * scale), math.sqrt(rc2) * scale
+        if not (cmath.isfinite(zc) and rc < math.inf):
+            return None
+        return zc, rc
 
     def centered_radius(self, z, v):
         # the root of |v|^2 r^2 + 2 |<a, v>| r - (R^2 - |a|^2) = 0, written
@@ -456,8 +456,11 @@ class Polydisc(DomainOracle):
         if np.any(room <= 0):
             return 0.0
         speed = np.abs(as_point(v, self.dim))
-        moving = speed > 0
-        return float(np.min(room[moving] / speed[moving], initial=math.inf))
+        # Python's float division takes a subnormal speed's limit to inf,
+        # where numpy's warns of the overflow
+        return min(
+            (r / s for r, s in zip(room.tolist(), speed.tolist()) if s > 0), default=math.inf
+        )
 
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
         if max_cells < 1:
@@ -651,8 +654,8 @@ class SublevelDomain(DomainOracle):
 
         ``gap``, z's own clearance when the caller has it, spares evaluating
         z again.  Each doubling keeps the clearances at t = k / pieces, which
-        are exact in binary, and evaluates only the new midpoints, in batches
-        of at most ``COVER_BATCH``.
+        are exact in binary, and evaluates only the new midpoints, in one
+        batch.  An exit anywhere in a batch ends the walk INDETERMINATE.
         """
         offset = z - self.seed
         target = np.linalg.norm(offset)
@@ -680,14 +683,8 @@ class SublevelDomain(DomainOracle):
         return Membership.INDETERMINATE
 
     def _walk_clearances(self, t: np.ndarray, offset: np.ndarray) -> np.ndarray:
-        """Clearances at seed + t * offset; NaN from the first batch with an exit on."""
-        out = np.full(t.size, math.nan)
-        for start in range(0, t.size, COVER_BATCH):
-            chunk = slice(start, start + COVER_BATCH)
-            out[chunk] = self._clearances(self.seed + t[chunk, None] * offset)
-            if not (out[chunk] > 0).all():
-                break
-        return out
+        """Clearances at seed + t * offset, in one ``_clearances`` batch."""
+        return self._clearances(self.seed + t[:, None] * offset)
 
     def _gaps(self, points):
         # a row counts only when it is also connected to the seed

@@ -38,7 +38,9 @@ def _point(z):
 
 
 def _half_log(m):
-    return float(_mp.log((1 + m) / (1 - m)) / 2)
+    # atanh(m) = 0.5 log((1 + m)/(1 - m)), without the quotient's rounding to
+    # 1 when m is below the working precision
+    return float(_mp.atanh(m))
 
 
 def disc_distance(z, w):

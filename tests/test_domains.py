@@ -119,6 +119,21 @@ class TestPolydiscFactors:
         assert unit_disc().product_factors() is None
 
 
+class TestBallSliceRegion:
+    @pytest.mark.parametrize("step", [1e-160, 1e-170, 1e-200, 1e-300])
+    def test_step_whose_squared_length_underflows(self, step):
+        # along e2 from z: centre -z2 / step, radius sqrt(1 - |z1|^2) / step
+        z = np.array([0.3 + 0.2j, -0.1j])
+        zc, rc = unit_ball(2).slice_region(z, z + np.array([0.0, step]))
+        assert zc == pytest.approx(0.1j / step, rel=1e-15)
+        assert rc == pytest.approx(math.sqrt(1 - abs(z[0]) ** 2) / step, rel=1e-15)
+
+    @pytest.mark.parametrize("step", [1e-310, 5e-324])
+    def test_step_whose_disc_is_no_float(self, step):
+        z = np.array([0.3 + 0.2j, -0.1j])
+        assert unit_ball(2).slice_region(z, z + np.array([0.0, step])) is None
+
+
 class TestSliceEmbed:
     def test_padding(self):
         out = slice_embed([1 / 16, 1 / 256], 4)
@@ -785,6 +800,11 @@ class TestCenteredRadius:
         assert domain.certify_affine_disc(z, radius * (1 - 1e-9) * v, 1.0).certified
         assert domain.certify_affine_disc(z, radius * (1 + 1e-9) * v, 1.0).rejected
 
+    def test_polydisc_hint_with_a_subnormal_speed(self):
+        # 0.7 / 2.2e-311 overflows to +inf, which leaves the min unchanged
+        assert unit_bidisc().centered_radius([0.0, 0.3j], [1.0, 2.2e-311j]) == 1.0
+        assert unit_bidisc().centered_radius([0.0, 0.3j], [0.0, 2.2e-311j]) == math.inf
+
     def test_product_hint_needs_every_moving_factor(self, ball_sublevel):
         product = ProductDomain((unit_disc(), ball_sublevel))
         z = np.array([0.5, 0.1, 0.2j])
@@ -811,3 +831,120 @@ class TestGenericCoveringSound:
             assert domain.certify_affine_disc(center, direction, rho).certified
         if res.rejected:
             assert not domain.contains(center + res.witness * direction)
+
+
+def _reference_cover(gap, center, direction, rho, max_cells):
+    """The covering's documented level order, probe by probe, in plain Python.
+
+    ``gap(point)`` is one row's clearance, None outside.  Returns (status,
+    witness, oracle_calls) and the number of probes evaluated at each level
+    reached.  Shares no code with ``domains._cover_certify``.
+    """
+    center = [complex(x) for x in center]
+    direction = [complex(x) for x in direction]
+    speed = float(np.linalg.norm(direction))
+    if speed == 0.0:
+        if max_cells < 1:
+            return (CertStatus.INDETERMINATE, None, 0), []
+        if gap(center) is None:
+            return (CertStatus.REJECTED, 0j, 1), [1]
+        return (CertStatus.CERTIFIED, None, 1), [1]
+    calls, half, level, sizes = 0, rho, [0j], []
+    while True:
+        diagonal = half * math.sqrt(2.0)
+        parents = []
+        sizes.append(0)
+        for cell in level:
+            radius = abs(cell)
+            if radius - diagonal > rho:
+                continue  # the cell misses the parameter disc
+            if calls + 2 > max_cells:
+                return (CertStatus.INDETERMINATE, None, calls), sizes
+            if radius > rho:
+                probe = complex(cell.real / radius * rho, cell.imag / radius * rho)
+            else:
+                probe = cell
+            sizes[-1] += 1
+            clearance = gap([c + probe * d for c, d in zip(center, direction)])
+            if clearance is None:
+                return (CertStatus.REJECTED, probe, calls + 1), sizes
+            calls += 2
+            if not clearance / speed >= abs(cell - probe) + diagonal:
+                parents.append(cell)
+        if not parents:
+            return (CertStatus.CERTIFIED, None, calls), sizes
+        if half < rho * 2.0 ** -14:
+            return (CertStatus.INDETERMINATE, None, calls), sizes
+        half /= 2.0
+        level = [p + complex(sx * half, sy * half)
+                 for p in parents for sx, sy in ((-1, -1), (-1, 1), (1, -1), (1, 1))]
+
+
+def _row_gap(gaps):
+    """One-row clearance from a batched one, None for NaN."""
+    def gap(z):
+        value = float(gaps(np.array([z], dtype=complex))[0])
+        return None if math.isnan(value) else value
+    return gap
+
+
+def _result(res):
+    return res.status, res.witness, res.oracle_calls
+
+
+class TestCoveringLevelOrder:
+    @pytest.mark.parametrize("domain", [unit_ball(2), unit_bidisc()], ids=["ball", "bidisc"])
+    @settings(max_examples=80, deadline=None)
+    @given(
+        center=st.lists(_complex_in(0.7), min_size=2, max_size=2),
+        direction=st.lists(_complex_in(1.0), min_size=2, max_size=2),
+        rho=st.floats(0.01, 1.0),
+        max_cells=st.sampled_from([0, 1, 2, 3, 7, 64, 4096]),
+    )
+    def test_matches_the_reference_walk(self, domain, center, direction, rho, max_cells):
+        res = DomainOracle.certify_affine_disc(domain, center, direction, rho, max_cells=max_cells)
+        expected, _ = _reference_cover(_row_gap(domain._gaps), center, direction, rho, max_cells)
+        assert _result(res) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        center=st.lists(_complex_in(0.6), min_size=2, max_size=2),
+        direction=st.lists(_complex_in(1.0), min_size=2, max_size=2),
+        rho=st.floats(0.01, 1.0),
+        max_cells=st.sampled_from([0, 1, 2, 3, 7, 64, 4096]),
+    )
+    def test_sublevel_matches_the_reference_walk(self, center, direction, rho, max_cells):
+        # the generic-search domain: the covering sees the raw sublevel set,
+        # then one connectivity walk from the seed to the disc's center
+        domain = SublevelDomain(
+            field=psh.norm_squared(2), level=1.0, ambient=Ball(np.zeros(2), 1.2),
+            seed=np.zeros(2), lipschitz=4.8,
+        )
+        res = domain.certify_affine_disc(center, direction, rho, max_cells=max_cells)
+        expected, _ = _reference_cover(
+            _row_gap(domain._clearances), center, direction, rho, max_cells
+        )
+        status, witness, calls = expected
+        if status is CertStatus.CERTIFIED and domain.membership(center) is not Membership.INSIDE:
+            status = CertStatus.INDETERMINATE
+        assert _result(res) == (status, witness, calls)
+
+    @pytest.mark.parametrize("direction, max_cells", [(0.9, 20_000), (0.9, 1001), (0.95, 20_000)],
+                             ids=["certified", "capped", "rejected"])
+    def test_one_clearances_call_per_level(self, direction, max_cells):
+        # levels of up to 274 probes; the cap cuts the ninth level at 87 of
+        # its 198, and a rejecting level is evaluated whole
+        batches = []
+
+        def clearances(points):
+            batches.append(len(points))
+            return UnitDiscFromGaps()._gaps(points)
+
+        res = domains._cover_certify(clearances, 1, [0.1], [direction], 0.999, max_cells)
+        expected, sizes = _reference_cover(
+            _row_gap(UnitDiscFromGaps()._gaps), [0.1], [direction], 0.999, max_cells
+        )
+        assert _result(res) == expected
+        assert len(batches) == len(sizes) and batches[:-1] == sizes[:-1]
+        if not res.rejected:
+            assert batches == sizes and max(sizes) > 128

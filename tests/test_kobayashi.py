@@ -440,8 +440,9 @@ class TestClosePointStability:
     @pytest.mark.parametrize("step", [5e-324, 1e-310, 1e-200, 1e-160])
     @pytest.mark.parametrize("name", ["disc", "bidisc", "ball", "ball-x-disc"])
     def test_steps_whose_slice_disc_overflows(self, name, step):
-        # the slice disc of so short a step is too large for a float: the
-        # oracles name no region, and the search builds no non-finite disc
+        # below about 1e-308 the slice disc of the step is too large for a
+        # float: the oracles name no region, and the search builds no
+        # non-finite disc
         domain, z = {
             "disc": (unit_disc(), np.array([0.3 + 0.2j])),
             "bidisc": (unit_bidisc(), np.array([0.3 + 0.2j, -0.1j])),
@@ -456,6 +457,23 @@ class TestClosePointStability:
         assert est.upper is None or est.upper >= est.lower
         if name in ("disc", "bidisc"):
             assert est.upper is None or est.upper >= oracle_polydisc(z, w)
+
+    @pytest.mark.parametrize("step", [1e-160, 1e-200])
+    @pytest.mark.parametrize("name, budget", [("ball1", 2), ("ball", 2), ("bidisc", 6)])
+    def test_steps_whose_squared_length_underflows(self, name, budget, step):
+        # |w - z|^2 underflows, yet the slice disc is a float: the exact slice
+        # answers and no search runs.  Every pair moves the first coordinate
+        # from 0, so the distance is the unit disc's, 0 to step.
+        domain, z = {
+            "ball1": (unit_ball(1), np.zeros(1, dtype=complex)),
+            "ball": (unit_ball(2), np.zeros(2, dtype=complex)),
+            "bidisc": (unit_bidisc(), np.array([0, 0.2], dtype=complex)),
+        }[name]
+        w = z.copy()
+        w[0] += step
+        est = estimate_distance(domain, z, w)
+        assert est.upper == pytest.approx(oracle_disc(0, step), rel=1e-8)
+        assert est.budget_used <= budget
 
     def test_ball_distance_proportional_at_small_scale(self):
         # the enclosing-ball form must scale linearly, not bottom out in noise
@@ -729,6 +747,17 @@ class TestCenteredRadiusHint:
         assume(np.any(v != 0) and domain.contains(z))
         off_centre = _off_centre_upper(domain, z, v)
         assume(off_centre is not None)
+        self._assert_smaller_disc(domain, z, v, off_centre)
+
+    def test_region_first_upper_with_a_subnormal_speed(self):
+        # the bidisc hint's limit for the second coordinate, 0.7 / 2.2e-311,
+        # overflows to +inf, which leaves the hint unchanged
+        domain = unit_bidisc()
+        z, v = np.array([0.0, 0.3j]), np.array([1.0, 2.2e-311j])
+        self._assert_smaller_disc(domain, z, v, _off_centre_upper(domain, z, v))
+
+    @staticmethod
+    def _assert_smaller_disc(domain, z, v, off_centre):
         centred = infinitesimal_bounds(Hiding(domain, "slice_region"), z, v)
         est = infinitesimal_bounds(domain, z, v)
         assert est.upper.hex() == min(off_centre, centred.upper).hex()
