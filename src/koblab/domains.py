@@ -193,6 +193,20 @@ class DomainOracle(ABC):
         """
         return _cover_certify(self._gaps, self.dim, center, direction, rho, max_cells)
 
+    def certify_affine_discs(
+        self, centers, directions, rho: float, max_cells: int = 4096
+    ) -> list[CertifyResult]:
+        """``certify_affine_disc`` for each (center, direction) pair, in order.
+
+        Every disc keeps its own cap and charge.  This default asks the
+        discs one by one, which suits closed forms; a covering oracle may
+        certify them together, giving each disc the result it gets alone.
+        """
+        return [
+            self.certify_affine_disc(c, d, rho, max_cells=max_cells)
+            for c, d in zip(centers, directions)
+        ]
+
     def sample_point(self, rng: np.random.Generator) -> np.ndarray:
         """Rejection-sample a point of the domain from its enclosing ball."""
         center, radius = self.enclosing_ball()
@@ -216,6 +230,17 @@ def _unit_ball_sample(
     return vec[:dim] + 1j * vec[dim:]
 
 
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of an (m, dim) complex array, bit for bit.
+
+    np.linalg.norm of a complex vector is sqrt(re . re + im . im); a stacked
+    row @ column product takes the same dot per row.
+    """
+    re, im = vectors.real, vectors.imag
+    norm2 = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(norm2[:, 0, 0])
+
+
 def _first(gaps: np.ndarray) -> float | None:
     """The first entry of a batch of clearances, None for NaN (outside)."""
     gap = float(gaps[0])
@@ -233,17 +258,61 @@ def _cover_certify(
 
     ``clearances(points)`` maps a validated (m, dim) array to one certified
     lower bound on the distance to the complement per row, NaN for a row
-    outside.  A cell is certified when the clearance ball at its (clamped)
-    center covers the part of the cell inside the parameter disc; it is a
-    rejection witness when that point leaves the domain.  Cells that miss
-    the parameter disc are dropped unprobed.
+    outside.  This is ``_certify_together`` on the one covering
+    ``_covering`` describes: one ``clearances`` call per level it reaches.
+    """
+    return _certify_together(
+        clearances, [_covering(dim, center, direction, rho, max_cells)]
+    )[0]
+
+
+def _certify_together(clearances, coverings) -> list[CertifyResult]:
+    """Run independent ``_covering`` generators in lockstep; their results, in order.
+
+    Each round evaluates the probes every live covering yielded in one
+    ``clearances`` call and sends each covering its own rows.  Every
+    covering is started before the first call, so all discs are validated
+    first; a covering that is done drops out.  The clearances contract (a
+    row gets the same bits in any batch) gives each covering exactly what
+    it gets alone.
+    """
+    results: list[CertifyResult | None] = [None] * len(coverings)
+    live, batch = [], []  # the running coverings and the probe points each yielded
+    for i, covering in enumerate(coverings):
+        try:
+            batch.append(next(covering))
+            live.append((i, covering))
+        except StopIteration as done:
+            results[i] = done.value
+    while live:
+        gaps = clearances(batch[0] if len(batch) == 1 else np.concatenate(batch))
+        asked, probes, live, batch, start = live, batch, [], [], 0
+        for (i, covering), points in zip(asked, probes):
+            end = start + len(points)
+            try:
+                batch.append(covering.send(gaps[start:end]))
+                live.append((i, covering))
+            except StopIteration as done:
+                results[i] = done.value
+            start = end
+    return results
+
+
+def _covering(dim: int, center, direction, rho: float, max_cells: int):
+    """The covering of one disc as a generator of clearance batches.
+
+    It yields each level's probe points as an (m, dim) array, takes their
+    clearances back, and returns its CertifyResult.  A cell is certified
+    when the clearance ball at its (clamped) center covers the part of the
+    cell inside the parameter disc; it is a rejection witness when that
+    point leaves the domain.  Cells that miss the parameter disc are
+    dropped unprobed.
 
     The walk is level-synchronous: the root square circumscribing the disc,
     then the children of every uncertified cell, in the order their parents
-    were probed, each parent's four children in ``_QUADRANTS`` order.  Each
-    level's probes are evaluated in one ``clearances`` call, so the working
-    memory is one level: at most ``max_cells / 2`` probes, cut from the four
-    children of each uncertified cell of the level before.
+    were probed, each parent's four children in ``_QUADRANTS`` order.  The
+    working memory is one level: at most ``max_cells / 2`` probes, cut from
+    the four children of each uncertified cell of the level before.
 
     The meter charges probes in that order: two calls (membership and
     distance) per probe, one for a rejecting probe.  The first rejecting
@@ -261,7 +330,7 @@ def _cover_certify(
     if speed == 0.0:
         if max_cells < 1:
             return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=0)
-        inside = _first(clearances(center[None])) is not None
+        inside = _first((yield center[None])) is not None
         return CertifyResult(
             CertStatus.CERTIFIED if inside else CertStatus.REJECTED,
             rho,
@@ -284,7 +353,7 @@ def _cover_certify(
         out = radius > rho
         probes.real[out] = cells.real[out] / radius[out] * rho
         probes.imag[out] = cells.imag[out] / radius[out] * rho
-        gaps = clearances(center + probes[:, None] * direction)
+        gaps = yield center + probes[:, None] * direction
         inside = gaps > 0
         if not inside.all():
             first = int(inside.argmin())
@@ -322,13 +391,8 @@ class Ball(DomainOracle):
         object.__setattr__(self, "dim", center.size)
 
     def _gaps(self, points):
-        # np.linalg.norm of a complex vector is sqrt(re . re + im . im); a
-        # stacked row @ column product takes the same dot per row.  radius -
-        # norm > 0 exactly when norm < radius in IEEE arithmetic.
-        offset = points - self.center
-        re, im = offset.real, offset.imag
-        norm2 = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-        gaps = self.radius - np.sqrt(norm2[:, 0, 0])
+        # radius - norm > 0 exactly when norm < radius in IEEE arithmetic
+        gaps = self.radius - _row_norms(points - self.center)
         gaps[gaps <= 0] = math.nan
         return gaps
 
@@ -581,6 +645,11 @@ class ProductDomain(DomainOracle):
 
 
 CONNECT_DEPTH = 10  # seed-segment refinements (8, 16, ... pieces) before indeterminate
+# the walk's parameters t = k / pieces: every one of the first 8 pieces, then
+# the new midpoints of each doubling; exact in binary, so np.linspace's bits
+_WALK_STEPS = [np.arange(9) / 8] + [
+    np.arange(1, 8 << depth, 2) / (8 << depth) for depth in range(1, CONNECT_DEPTH)
+]
 
 
 @dataclass(frozen=True)
@@ -623,10 +692,18 @@ class SublevelDomain(DomainOracle):
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "dim", self.ambient.dim)
         if isinstance(self.field, ScalarField):
-            values = self.field.values  # one vectorised call per batch
+            # one vectorised call per batch; it raises FieldEvaluationError
+            # on a non-finite value
+            values = self.field.values
         else:
             field = self.field
-            values = lambda points: np.array([float(field(z)) for z in points])
+
+            def values(points: np.ndarray) -> np.ndarray:
+                vals = np.array([float(field(z)) for z in points])
+                if not np.isfinite(vals).all():
+                    raise DomainError("field evaluated to a non-finite value")
+                return vals
+
         object.__setattr__(self, "_values", values)
         if _first(self._clearances(seed[None])) is None:
             raise DomainError("seed is not in the sublevel set")
@@ -643,63 +720,79 @@ class SublevelDomain(DomainOracle):
         gaps = self.ambient._gaps(points)
         inside = gaps > 0
         vals = self._values(points[inside])
-        if not np.isfinite(vals).all():
-            raise DomainError("field evaluated to a non-finite value")
         room = np.where(vals < self.level, (self.level - vals) / self.lipschitz, math.nan)
         gaps[inside] = np.minimum(gaps[inside], room)
         return gaps
 
-    def _segment_connected(self, z: np.ndarray, gap: float | None = None) -> Membership:
-        """Cover the segment from the seed to z by overlapping clearance balls.
+    def _connected(self, points: np.ndarray, gaps: np.ndarray | None = None) -> np.ndarray:
+        """Whether each row's straight segment from the seed is covered, as bools.
 
-        ``gap``, z's own clearance when the caller has it, spares evaluating
-        z again.  Each doubling keeps the clearances at t = k / pieces, which
-        are exact in binary, and evaluates only the new midpoints, in one
-        batch.  An exit anywhere in a batch ends the walk INDETERMINATE.
+        The walk covers the segment from the seed to a row by overlapping
+        clearance balls.  ``gaps``, the rows' own clearances when the caller
+        has them, spares evaluating the rows again.  Every segment starts in
+        8 pieces, and the segments double in lockstep: each doubling keeps
+        the clearances at t = k / pieces, which are exact in binary, and
+        evaluates the new midpoints of every row still undecided in one
+        ``_clearances`` batch.  A row is connected once its neighbouring
+        balls overlap; an exit anywhere on its segment, or CONNECT_DEPTH
+        doublings, leaves it unconnected (indeterminate).  A row gets the
+        same answer from the same clearances in any batch.
         """
-        offset = z - self.seed
-        target = np.linalg.norm(offset)
-        if target == 0:
-            return Membership.INSIDE
-        pieces = 8
-        t = np.linspace(0.0, 1.0, pieces + 1)
-        if gap is None:
-            radii = self._walk_clearances(t, offset)
+        offsets = points - self.seed
+        targets = _row_norms(offsets)
+        connected = targets == 0  # a row at the seed needs no walk
+        rows = np.flatnonzero(targets)
+        if rows.size == 0:
+            return connected
+        if rows.size < len(points):
+            offsets, targets = offsets[rows], targets[rows]
+            gaps = None if gaps is None else gaps[rows]
+        targets = targets[:, None]
+        if gaps is None:
+            radii = self._walk_clearances(_WALK_STEPS[0], offsets)
         else:
-            radii = np.append(self._walk_clearances(t[:-1], offset), gap)
-        for depth in range(CONNECT_DEPTH):
+            radii = np.empty((rows.size, 9))
+            radii[:, :-1] = self._walk_clearances(_WALK_STEPS[0][:-1], offsets)
+            radii[:, -1] = gaps
+        for depth, steps in enumerate(_WALK_STEPS):
+            pieces = 8 << depth
             if depth:
-                pieces *= 2
-                refined = np.empty(pieces + 1)
-                refined[0::2] = radii
-                refined[1::2] = self._walk_clearances(
-                    np.linspace(0.0, 1.0, pieces + 1)[1::2], offset
-                )
+                refined = np.empty((rows.size, pieces + 1))
+                refined[:, 0::2] = radii
+                refined[:, 1::2] = self._walk_clearances(steps, offsets)
                 radii = refined
-            if not (radii > 0).all():
-                return Membership.INDETERMINATE  # straight path exits
-            if (radii[:-1] + radii[1:] > target / pieces).all():
-                return Membership.INSIDE
-        return Membership.INDETERMINATE
+            stays = (radii > 0).all(axis=1)  # False where a straight path exits
+            overlaps = (radii[:, :-1] + radii[:, 1:] > targets / pieces).all(axis=1)
+            undecided = stays & ~overlaps
+            left = np.count_nonzero(undecided)
+            if left == rows.size:
+                continue
+            connected[rows] = stays & overlaps
+            if left == 0:
+                break
+            rows, offsets, targets = rows[undecided], offsets[undecided], targets[undecided]
+            radii = radii[undecided]
+        return connected
 
-    def _walk_clearances(self, t: np.ndarray, offset: np.ndarray) -> np.ndarray:
-        """Clearances at seed + t * offset, in one ``_clearances`` batch."""
-        return self._clearances(self.seed + t[:, None] * offset)
+    def _walk_clearances(self, t: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Clearances at seed + t_j * offset_i as an (i, j) array, in one ``_clearances`` batch."""
+        points = self.seed + t[None, :, None] * offsets[:, None, :]
+        return self._clearances(points.reshape(-1, self.dim)).reshape(len(offsets), t.size)
 
     def _gaps(self, points):
-        # a row counts only when it is also connected to the seed
+        # a row counts only when it is also connected to the seed; every row
+        # inside the raw sublevel set walks in the same batches
         gaps = self._clearances(points)
-        for i in np.flatnonzero(gaps > 0):
-            if self._segment_connected(points[i], gaps[i]) is not Membership.INSIDE:
-                gaps[i] = math.nan
+        inside = np.flatnonzero(gaps > 0)
+        gaps[inside[~self._connected(points[inside], gaps[inside])]] = math.nan
         return gaps
 
     def membership(self, z) -> Membership:
-        z = as_point(z, self.dim)
-        gap = _first(self._clearances(z[None]))
-        if gap is None:
+        z = as_point(z, self.dim)[None]
+        gaps = self._clearances(z)
+        if _first(gaps) is None:
             return Membership.OUTSIDE
-        return self._segment_connected(z, gap)
+        return Membership.INSIDE if self._connected(z, gaps)[0] else Membership.INDETERMINATE
 
     def contains(self, z) -> bool:
         return self.membership(z) is Membership.INSIDE
@@ -714,17 +807,27 @@ class SublevelDomain(DomainOracle):
         return self.ambient.enclosing_ball()
 
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
-        # Cover against the raw sublevel set, then certify connectivity once:
-        # overlapping certified balls are connected, so one connected point
-        # places the whole swept disc in the seed's component.
-        res = _cover_certify(self._clearances, self.dim, center, direction, rho, max_cells)
-        if not res.certified:
-            return res
-        if self._segment_connected(as_point(center, self.dim)) is not Membership.INSIDE:
-            return CertifyResult(
-                CertStatus.INDETERMINATE, rho, oracle_calls=res.oracle_calls
-            )
-        return res
+        return self.certify_affine_discs([center], [direction], rho, max_cells)[0]
+
+    def certify_affine_discs(self, centers, directions, rho, max_cells=4096):
+        # Cover against the raw sublevel set, then certify connectivity once
+        # per disc: overlapping certified balls are connected, so one
+        # connected point places the whole swept disc in the seed's
+        # component.  The coverings share one clearance batch per level, and
+        # the certified centres walk together.
+        results = _certify_together(
+            self._clearances,
+            [_covering(self.dim, c, d, rho, max_cells) for c, d in zip(centers, directions)],
+        )
+        certified = [i for i, res in enumerate(results) if res.certified]
+        if certified:
+            walked = np.array([as_point(centers[i], self.dim) for i in certified])
+            for i, connected in zip(certified, self._connected(walked).tolist()):
+                if not connected:
+                    results[i] = CertifyResult(
+                        CertStatus.INDETERMINATE, rho, oracle_calls=results[i].oracle_calls
+                    )
+        return results
 
 
 def _parse_complex_vector(data) -> np.ndarray:

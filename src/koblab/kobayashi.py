@@ -19,6 +19,7 @@ certificate is found within budget the upper bound is flagged as unknown
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,30 +260,21 @@ def disc_in_domain(
     disc: AnalyticDisc, domain: DomainOracle, margin: float = 1e-3, max_cells: int = 4096
 ) -> CertifyResult:
     """Certify the disc on parameter radius 1 - margin."""
+    return _discs_in_domain([disc], domain, margin, max_cells)[0]
+
+
+def _discs_in_domain(
+    discs: list[AnalyticDisc], domain: DomainOracle, margin: float, max_cells: int = 4096
+) -> list[CertifyResult]:
+    """Certify each disc on parameter radius 1 - margin, in one ``certify_affine_discs`` call."""
     if not 0 <= margin < 1:
         raise EstimationError("margin must be in [0, 1)")
-    rho = 1.0 - margin
-    return domain.certify_affine_disc(disc.center, disc.direction, rho, max_cells=max_cells)
-
-
-def _priced_link(
-    domain: DomainOracle,
-    disc: AnalyticDisc,
-    zeta_in: complex,
-    zeta_out: complex,
-    margin: float,
-    max_cells: int = 4096,
-) -> tuple[CertStatus, float | None]:
-    """Certify a link's disc on radius rho = 1 - margin and price the link.
-
-    The cost is p(zeta_in / rho, zeta_out / rho), or None when the disc is
-    not certified; the certifier's status comes with it.
-    """
-    rho = 1.0 - margin
-    result = disc_in_domain(disc, domain, margin, max_cells)
-    if not result.certified:
-        return result.status, None
-    return result.status, poincare_distance(zeta_in / rho, zeta_out / rho)
+    return domain.certify_affine_discs(
+        [disc.center for disc in discs],
+        [disc.direction for disc in discs],
+        1.0 - margin,
+        max_cells=max_cells,
+    )
 
 
 def chain_upper_bound(
@@ -293,23 +285,38 @@ def chain_upper_bound(
     Each disc is certified on radius rho = 1 - margin and used rescaled, so
     the link cost is p(zin / rho, zout / rho); the margin inflation is part
     of the reported bound.
+
+    The discs of the links before the first one whose parameters leave the
+    certified radius are certified together, in one ``certify_affine_discs``
+    call.  Errors still come in link order, each link checking its
+    parameters, then its certificate, then its cost.  Only an error the
+    certifier itself raises (a non-finite field value, say) can come from a
+    later link's disc before an earlier link's error.
     """
     rho = 1.0 - margin
+    links = chain.links
+    reach = next(
+        (i for i, link in enumerate(links) if max(abs(link.zeta_in), abs(link.zeta_out)) >= rho),
+        len(links),
+    )
+    results = []
+    if reach:
+        discs = [link.disc for link in links[:reach]]
+        results = _discs_in_domain(discs, domain, margin, max_cells)
     total = 0.0
-    for i, link in enumerate(chain.links):
-        if max(abs(link.zeta_in), abs(link.zeta_out)) >= rho:
+    for i, link in enumerate(links):
+        if i == reach:
             raise EstimationError(
                 f"link {i}: parameters exceed the certified radius {rho}"
             )
-        try:
-            status, cost = _priced_link(
-                domain, link.disc, link.zeta_in, link.zeta_out, margin, max_cells
+        if not results[i].certified:
+            raise UncertifiedDiscError(
+                f"link {i}: disc not certified ({results[i].status.value})"
             )
+        try:
+            total += poincare_distance(link.zeta_in / rho, link.zeta_out / rho)
         except poincare.DiscPointError as exc:
             raise EstimationError(f"link {i}: cost not representable ({exc})") from exc
-        if cost is None:
-            raise UncertifiedDiscError(f"link {i}: disc not certified ({status.value})")
-        total += cost
     return total
 
 
@@ -332,19 +339,36 @@ def ball_distance(center, radius: float, z, w) -> float:
             return poincare_distance(a[0], b[0])
         except poincare.DiscPointError:
             pass  # at the cap, where the clamped form below still answers
-    na2 = float(np.sum(np.abs(a) ** 2))
-    if na2 == 0.0:
-        m = float(np.linalg.norm(b))
+    if not a.any():
+        m = _norm(b)
     else:
+        na2 = float(np.sum(np.abs(a) ** 2))
         ip = complex(np.sum(b * np.conj(a)))  # <b, a>
         den = abs(1.0 - ip)
         if den == 0.0:
             raise EstimationError("points outside the open ball")
-        parallel = (ip / na2) * a
+        if na2 < sys.float_info.min:
+            # |a|^2 has lost a's bits: project onto the exact multiple 2^600 a
+            u = a * 2.0**600
+            parallel = (complex(np.sum(b * np.conj(u))) / float(np.sum(np.abs(u) ** 2))) * u
+        else:
+            parallel = (ip / na2) * a
         orthogonal = b - parallel
         s_a = math.sqrt(max(0.0, 1.0 - na2))
-        m = float(np.linalg.norm(a - parallel - s_a * orthogonal)) / den
+        m = _norm(a - parallel - s_a * orthogonal) / den
     return math.atanh(min(m, poincare.MAX_ABS))
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, rescaled when its square underflows.
+
+    Below about 1.5e-154 the squares lose x's bits; the norm of the exact
+    multiple 2^600 x, divided by 2^600, keeps them.
+    """
+    norm = float(np.linalg.norm(x))
+    if norm * norm < sys.float_info.min and x.any():
+        norm = float(np.linalg.norm(x * 2.0**600)) * 2.0**-600
+    return norm
 
 
 def ball_metric(center, radius: float, z, v) -> float:
@@ -1062,7 +1086,11 @@ def cauchy_table(
     point norms decreasing to 0, not that the limit lies on the boundary.
     Every padded point must be certified inside the domain; the offending
     index is reported otherwise.  U(nu) is the cost of the embedded ladder
-    disc between consecutive points, certified at the working margin.
+    disc between consecutive points, certified at the working margin.  The
+    discs are certified together, in one ``certify_affine_discs`` call, and
+    the first nu whose disc fails is reported.  Only an error the certifier
+    itself raises (a non-finite field value, say) can come from a later
+    disc before that report.
     """
     depth = ladder.depth if depth is None else depth
     if depth < 2:
@@ -1078,24 +1106,23 @@ def cauchy_table(
         nu = int(outside[0]) + 1
         raise CauchyMembershipError(nu, f"ladder point nu={nu} not certified inside the domain")
 
-    uppers = np.empty(depth - 1)
-    for nu in range(1, depth):
-        a0, a1, b0 = (
-            float(ladder.a(nu)),
-            float(ladder.a(nu + 1)),
-            float(ladder.b(nu)),
-        )
-        disc = AnalyticDisc(
+    def ladder_disc(nu: int) -> AnalyticDisc:
+        a0, a1, b0 = float(ladder.a(nu)), float(ladder.a(nu + 1)), float(ladder.b(nu))
+        return AnalyticDisc(
             center=slice_embed(np.array([0.0, -a0 * a1]), n),
             direction=slice_embed(np.array([b0, b0 * (a1 + a0)]), n),
         )
-        zin, zout = ladder.disc_parameters(nu)
-        status, cost = _priced_link(domain, disc, float(zin), float(zout), margin)
-        if cost is None:
+
+    results = _discs_in_domain([ladder_disc(nu) for nu in range(1, depth)], domain, margin)
+    rho = 1.0 - margin
+    uppers = np.empty(depth - 1)
+    for nu, result in zip(range(1, depth), results):
+        if not result.certified:
             raise CauchyMembershipError(
-                nu, f"embedded ladder disc nu={nu} not certified ({status.value})"
+                nu, f"embedded ladder disc nu={nu} not certified ({result.status.value})"
             )
-        uppers[nu - 1] = cost
+        zin, zout = ladder.disc_parameters(nu)
+        uppers[nu - 1] = poincare_distance(float(zin) / rho, float(zout) / rho)
 
     observed = uppers[1:] / uppers[:-1]
     if observed.size and float(np.max(observed)) > TAIL_RATIO:

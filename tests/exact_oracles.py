@@ -12,8 +12,9 @@ is shared with koblab.
 - unit polydisc: the largest coordinate-wise disc distance.
 
 The ball's quotient form cancels for nearby points: at separation s it
-loses about 2 log10(1/s) of the 50 digits, so separations down to 1e-20
-still keep 10 correct digits.
+loses about 2 log10(1/s) digits, more near the sphere.  The ball oracle
+raises its working precision by a bound on that loss, so every separation
+keeps the 50 digits.
 """
 
 from fractions import Fraction
@@ -53,14 +54,23 @@ def disc_distance(z, w):
 
 def ball_distance(z, w):
     """Kobayashi distance of the unit ball of C^n between points z and w."""
-    z, w = _point(z), _point(w)
-    nz2 = _mp.fsum(abs(x) ** 2 for x in z)
-    nw2 = _mp.fsum(abs(x) ** 2 for x in w)
-    if not (nz2 < 1 and nw2 < 1):
+    p, q = _point(z), _point(w)
+    nz2 = _mp.fsum(abs(x) ** 2 for x in p)
+    if not (nz2 < 1 and _mp.fsum(abs(x) ** 2 for x in q) < 1):
         raise ValueError("points outside the open unit ball")
-    ip = _mp.fsum(a * _mp.conj(b) for a, b in zip(z, w))  # <z, w>
-    m2 = 1 - (1 - nz2) * (1 - nw2) / abs(1 - ip) ** 2
-    return _half_log(_mp.sqrt(max(m2, 0)))
+    sep2 = _mp.fsum(abs(a - b) ** 2 for a, b in zip(p, q))
+    if sep2 == 0:
+        return 0.0
+    # m^2 > sep^2 (1 - |z|^2) / 4, so the quotient form loses fewer than
+    # log10(4 / (sep^2 (1 - |z|^2))) digits, which the working precision adds
+    extra = max(0, int(_mp.log10(4 / (sep2 * (1 - nz2))))) + 1
+    with _mp.workdps(DIGITS + extra):
+        z, w = _point(z), _point(w)
+        nz2 = _mp.fsum(abs(x) ** 2 for x in z)
+        nw2 = _mp.fsum(abs(x) ** 2 for x in w)
+        ip = _mp.fsum(a * _mp.conj(b) for a, b in zip(z, w))  # <z, w>
+        m2 = 1 - (1 - nz2) * (1 - nw2) / abs(1 - ip) ** 2
+        return _half_log(_mp.sqrt(max(m2, 0)))
 
 
 def polydisc_distance(z, w):

@@ -27,6 +27,8 @@ from koblab.domains import (
     unit_bidisc,
     unit_disc,
 )
+from koblab.kobayashi import cauchy_table
+from koblab.ladder import DyadicLadder
 
 
 def norm2(z):
@@ -948,3 +950,107 @@ class TestCoveringLevelOrder:
         assert len(batches) == len(sizes) and batches[:-1] == sizes[:-1]
         if not res.rejected:
             assert batches == sizes and max(sizes) > 128
+
+
+def _generic_search_ball():
+    # {|z|^2 < 1} in B(0, 1.2) with L = 4.8
+    return SublevelDomain(
+        field=psh.norm_squared(2), level=1.0, ambient=Ball(np.zeros(2), 1.2),
+        seed=np.zeros(2), lipschitz=4.8,
+    )
+
+
+def _candidate_c3():
+    """The cauchy-demo candidate domain for the norm2 field: the unit ball of C^3."""
+    lifted = psh.lift_quadratic_tail(psh.norm_squared(2), 3)
+    return SublevelDomain(
+        field=lifted, level=1.0,
+        ambient=ProductDomain((Ball(np.zeros(2), 3.0), Ball(np.zeros(1), 1.1))),
+        seed=slice_embed(DyadicLadder(1).point_complex(1), 3), lipschitz=lifted.lipschitz(4.1),
+    )
+
+
+CERTIFY_DOMAINS = {"sublevel-ball": _generic_search_ball(), "candidate-c3": _candidate_c3()}
+
+
+def _count_clearances(monkeypatch):
+    """Record the rows of every ``SublevelDomain._clearances`` batch."""
+    batches = []
+    original = SublevelDomain._clearances
+
+    def counted(self, points):
+        batches.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(SublevelDomain, "_clearances", counted)
+    return batches
+
+
+class TestBatchedCertification:
+    @pytest.mark.parametrize("name", sorted(CERTIFY_DOMAINS))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data=st.data(),
+        rho=st.floats(0.01, 1.0),
+        max_cells=st.sampled_from([0, 1, 2, 3, 7, 64, 4096]),
+    )
+    def test_each_disc_gets_what_it_gets_alone(self, name, data, rho, max_cells):
+        # certified, rejected, capped and zero-speed discs in one batch
+        domain = CERTIFY_DOMAINS[name]
+        coordinates = st.lists(_complex_in(0.6), min_size=domain.dim, max_size=domain.dim)
+        directions = st.lists(_direction_coordinate(), min_size=domain.dim, max_size=domain.dim)
+        discs = data.draw(st.lists(st.tuples(coordinates, directions), min_size=1, max_size=8))
+        centers = [np.array(c) for c, _ in discs]
+        directions = [np.array(d) for _, d in discs]
+        batched = domain.certify_affine_discs(centers, directions, rho, max_cells=max_cells)
+        assert len(batched) == len(discs)
+        for res, center, direction in zip(batched, centers, directions):
+            alone = domain.certify_affine_disc(center, direction, rho, max_cells=max_cells)
+            assert _result(res) == _result(alone)
+            expected, _ = _reference_cover(
+                _row_gap(domain._clearances), center, direction, rho, max_cells
+            )
+            status, witness, calls = expected
+            if status is CertStatus.CERTIFIED and domain.membership(center) is not Membership.INSIDE:
+                status = CertStatus.INDETERMINATE
+            assert _result(res) == (status, witness, calls)
+
+    def test_closed_forms_answer_disc_by_disc(self):
+        centers = [np.array([0.1, 0.2j]), np.zeros(2), np.array([0.5, 0.5])]
+        directions = [np.array([0.3, 0.0]), np.array([1.2, 0.0]), np.zeros(2)]
+        for domain in (unit_ball(2), unit_bidisc(), ProductDomain((unit_disc(), unit_disc()))):
+            batched = domain.certify_affine_discs(centers, directions, 0.999, max_cells=64)
+            alone = [domain.certify_affine_disc(c, d, 0.999, max_cells=64)
+                     for c, d in zip(centers, directions)]
+            assert [_result(r) for r in batched] == [_result(r) for r in alone]
+
+    def test_gaps_walk_all_rows_in_one_batch_per_doubling(self, monkeypatch):
+        # the walks double 0 to 3 times; the seed itself needs no walk and a
+        # row outside none either
+        domain = _generic_search_ball()
+        points = np.array([[0.95, 0.2j], [0.9, 0.0], [0.5, 0.5j], [0.0, 0.0], [1.1, 0.0],
+                           [0.7j, -0.6]])
+        batches = _count_clearances(monkeypatch)
+        alone = []
+        for z in points:
+            batches.clear()
+            gap = _one_row(domain._gaps, z)
+            alone.append((gap, len(batches)))
+        batches.clear()
+        assert _row_bits(domain._gaps(points)) == [gap for gap, _ in alone]
+        assert len(batches) == max(count for _, count in alone) == 4
+
+    def test_cauchy_table_shares_its_clearance_batches(self, monkeypatch):
+        batches = _count_clearances(monkeypatch)
+        table = cauchy_table(_candidate_c3(), DyadicLadder(40), n=3, depth=40, margin=1e-3)
+        assert len(table.rows) == 39
+        assert len(batches) <= 12  # 125 with one covering and one walk per disc
+
+    def test_plain_field_still_refuses_non_finite_values(self):
+        domain = SublevelDomain(
+            field=lambda z: math.nan if z[0].real > 0.5 else norm2(z), level=1.0,
+            ambient=Ball(np.zeros(2), 1.0), seed=np.zeros(2), lipschitz=2.0,
+        )
+        assert domain.contains([0.2, 0.0])
+        with pytest.raises(DomainError, match="non-finite"):
+            domain.contains([0.7, 0.0])

@@ -18,6 +18,8 @@ from koblab import psh
 from koblab.cli import emit_plot_data, parse_config, run
 from koblab.domains import (
     Ball,
+    CertifyResult,
+    CertStatus,
     DimensionMismatchError,
     DomainOracle,
     Polydisc,
@@ -109,6 +111,38 @@ class TestDiscInDomain:
         assert disc_in_domain(disc, unit_ball(2), margin=0.01).rejected
 
 
+def _sublevel_unit_ball():
+    # {|z|^2 < 1} in B(0, 1.2) with L = 4.8
+    return SublevelDomain(
+        field=psh.norm_squared(2), level=1.0, ambient=Ball(np.zeros(2), 1.2),
+        seed=np.zeros(2), lipschitz=4.8,
+    )
+
+
+def _chain_of(kinds):
+    """A stitched chain in C^2 from 0 whose links are of the given kinds.
+
+    ``rejected`` sweeps |z_1 - start| <= 2, outside the unit ball and
+    bidisc; ``certified`` sweeps radius 0.2; ``wide`` has a parameter 0.95,
+    past the radius 0.9 of margin 0.1; ``saturated`` costs p(-r, r) with
+    r = 1 - 7.1e-15, whose pseudo-distance rounds to 1.
+    """
+    r = 1 - 7.1e-15
+    start, links = np.zeros(2, complex), []
+    for kind in kinds:
+        direction, zin, zout = {
+            "rejected": ([2.0, 0.0], 0.0, 0.1),
+            "certified": ([0.2, 0.0], 0.0, 0.5),
+            "wide": ([0.1, 0.0], 0.95, 0.0),
+            "saturated": ([0.3, 0.0], -r, r),
+        }[kind]
+        direction = np.array(direction, complex)
+        link = ChainLink(AnalyticDisc(start - zin * direction, direction), zin, zout)
+        links.append(link)
+        start = link.end
+    return DiscChain(links=tuple(links))
+
+
 class TestChainUpperBound:
     def test_single_ladder_disc(self):
         disc, zin, zout = ladder_disc(1)
@@ -143,6 +177,23 @@ class TestChainUpperBound:
         chain = DiscChain(links=(ChainLink(AnalyticDisc([0.0], [0.5]), -r, r),))
         with pytest.raises(EstimationError, match="link 0"):
             chain_upper_bound(unit_disc(), chain, margin=0.0)
+
+    @pytest.mark.parametrize("kinds, margin, error, message", [
+        (("rejected", "rejected"), 0.1, UncertifiedDiscError, "link 0: disc not certified"),
+        (("rejected", "wide"), 0.1, UncertifiedDiscError, "link 0: disc not certified"),
+        (("wide", "rejected"), 0.1, EstimationError, "link 0: parameters exceed"),
+        (("certified", "wide"), 0.1, EstimationError, "link 1: parameters exceed"),
+        (("certified", "rejected", "rejected"), 0.1, UncertifiedDiscError, "link 1: disc not"),
+        (("saturated", "rejected"), 0.0, EstimationError, "link 0: cost not representable"),
+    ])
+    @pytest.mark.parametrize("domain", [unit_bidisc(), _sublevel_unit_ball()],
+                             ids=["bidisc", "sublevel-ball"])
+    def test_errors_come_in_link_order(self, domain, kinds, margin, error, message):
+        # each link checks its parameters, then its certificate, then its
+        # cost, although the discs are certified together
+        with pytest.raises(error, match=message) as excinfo:
+            chain_upper_bound(domain, _chain_of(kinds), margin=margin)
+        assert excinfo.type is error
 
     def test_stitching_enforced(self):
         d1, zin1, zout1 = ladder_disc(1)
@@ -474,6 +525,20 @@ class TestClosePointStability:
         est = estimate_distance(domain, z, w)
         assert est.upper == pytest.approx(oracle_disc(0, step), rel=1e-8)
         assert est.budget_used <= budget
+
+    @pytest.mark.parametrize("step", [1e-160, 1e-170, 1e-300])
+    @pytest.mark.parametrize("pair", [
+        lambda s: ((0, 0), (s, 0)),
+        lambda s: ((s, 0), (2 * s, 0)),
+        lambda s: ((s, s * 1j), (0.5 * s, -s)),
+    ], ids=["from-zero", "along-a", "across-a"])
+    def test_lower_bound_where_the_squares_underflow(self, pair, step):
+        # |a|^2 and |b - a|^2 underflow; the enclosing-ball form still sees
+        # the separation and does not mistake a tiny a for zero
+        z, w = pair(step)
+        est = estimate_distance(unit_ball(2), z, w)
+        assert est.lower > 0
+        assert est.lower == pytest.approx(oracle_ball(z, w), rel=1e-8, abs=0)
 
     def test_ball_distance_proportional_at_small_scale(self):
         # the enclosing-ball form must scale linearly, not bottom out in noise
@@ -854,6 +919,33 @@ class TestCauchyTable:
         near = Polydisc([1 / 16, 1 / 256], 0.01)
         with pytest.raises(CauchyMembershipError) as excinfo:
             cauchy_table(near, DyadicLadder(5), n=2)
+        assert excinfo.value.nu == 2
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["ball", "sublevel-ball"])
+    def test_disc_failure_names_first_failing_index(self, batched):
+        # B((0.03, 0), 0.1) holds every ladder point but not the discs nu = 1
+        # and 2, which sweep |z_1| up to 1/4 and 1/8; discs 3 to 5 certify
+        c = np.array([0.03, 0.0])
+        domain = Ball(c, 0.1)
+        if batched:
+            domain = SublevelDomain(
+                field=lambda z: float(np.sum(np.abs(z - c) ** 2)), level=0.01,
+                ambient=Ball(c, 0.2), seed=c, lipschitz=0.4,
+            )
+        with pytest.raises(CauchyMembershipError, match="disc nu=1 not") as excinfo:
+            cauchy_table(domain, DyadicLadder(6), n=2)
+        assert excinfo.value.nu == 1
+
+    def test_disc_failure_names_first_of_later_failures(self):
+        # discs nu = 2 and 3 refused, nu = 1 and 4 certified
+        class Refusing(Polydisc):
+            def certify_affine_disc(self, center, direction, rho, max_cells=4096):
+                if direction[0] in (1 / 8, 1 / 16):
+                    return CertifyResult(CertStatus.REJECTED, rho, witness=0j)
+                return super().certify_affine_disc(center, direction, rho, max_cells)
+
+        with pytest.raises(CauchyMembershipError, match="disc nu=2 not") as excinfo:
+            cauchy_table(Refusing(np.zeros(2), 1.0), DyadicLadder(5), n=2)
         assert excinfo.value.nu == 2
 
     def test_dimension_checked(self):
