@@ -16,7 +16,7 @@ import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -298,7 +298,21 @@ def _certify_together(clearances, coverings) -> list[CertifyResult]:
     return results
 
 
-def _covering(dim: int, center, direction, rho: float, max_cells: int):
+class _Level(NamedTuple):
+    """One level of a covering's quadtree in the parameter plane.
+
+    None of it depends on the disc's direction: given the same rho, cap and
+    uncertified cells before it, a covering reaches the same level.
+    """
+
+    cells: np.ndarray  # the cells' centers, after the cap's cut
+    probes: np.ndarray  # the centers clamped into the parameter disc
+    reach: np.ndarray  # the clearance / speed that certifies each cell
+    uncertified: np.ndarray | None  # None where the covering stopped at this level
+    over_cap: bool
+
+
+def _covering(dim: int, center, direction, rho: float, max_cells: int, replay=(), record=None):
     """The covering of one disc as a generator of clearance batches.
 
     It yields each level's probe points as an (m, dim) array, takes their
@@ -321,6 +335,14 @@ def _covering(dim: int, center, direction, rho: float, max_cells: int):
     more, before any probe that would take the calls past ``max_cells``,
     and also when cells stay uncertified at half-width below rho * 2^-14.
     A CERTIFIED disc is charged for every probe of the tree.
+
+    ``record``, a list, receives each ``_Level`` the walk reaches.
+    ``replay`` holds (level, clearances) pairs: the levels that an earlier
+    covering with the same rho and cap recorded, each with this disc's
+    clearances at its probes.  The walk takes a remembered level's
+    clearances instead of yielding for as long as each level's uncertified
+    cells are the remembered ones, and yields level by level from the
+    first one that differs.  Neither changes the result.
     """
     center = as_point(center, dim)
     direction = as_point(direction, dim)
@@ -337,25 +359,35 @@ def _covering(dim: int, center, direction, rho: float, max_cells: int):
             witness=None if inside else 0j,
             oracle_calls=1,
         )
+    if record is None:
+        record = []
+    replay = iter(replay)
+    remembered, gaps = next(replay, (None, None))
     calls = 0
     half = rho
     cells = np.zeros(1, dtype=complex)  # the centers of one level's cells
     while True:
-        diagonal = half * math.sqrt(2.0)
-        # np.hypot, unlike np.abs, matches Python's abs of a complex
-        radius = np.hypot(cells.real, cells.imag)
-        near = radius - diagonal <= rho
-        affordable = max(0, max_cells - calls) // 2  # a probe costs two calls
-        cells, radius = cells[near][:affordable], radius[near][:affordable]
-        over_cap = np.count_nonzero(near) > affordable
-        # clamp each center into the disc: probe = zeta_c / |zeta_c| * rho
-        probes = cells.copy()
-        out = radius > rho
-        probes.real[out] = cells.real[out] / radius[out] * rho
-        probes.imag[out] = cells.imag[out] / radius[out] * rho
-        gaps = yield center + probes[:, None] * direction
+        if remembered is None:
+            diagonal = half * math.sqrt(2.0)
+            # np.hypot, unlike np.abs, matches Python's abs of a complex
+            radius = np.hypot(cells.real, cells.imag)
+            near = radius - diagonal <= rho
+            affordable = max(0, max_cells - calls) // 2  # a probe costs two calls
+            cells, radius = cells[near][:affordable], radius[near][:affordable]
+            over_cap = np.count_nonzero(near) > affordable
+            # clamp each center into the disc: probe = zeta_c / |zeta_c| * rho
+            probes = cells.copy()
+            out = radius > rho
+            probes.real[out] = cells.real[out] / radius[out] * rho
+            probes.imag[out] = cells.imag[out] / radius[out] * rho
+            offset = cells - probes
+            reach = np.hypot(offset.real, offset.imag) + diagonal
+            gaps = yield center + probes[:, None] * direction
+        else:
+            cells, probes, reach, _, over_cap = remembered
         inside = gaps > 0
         if not inside.all():
+            record.append(_Level(cells, probes, reach, None, over_cap))
             first = int(inside.argmin())
             return CertifyResult(
                 CertStatus.REJECTED, rho, witness=complex(probes[first]),
@@ -363,16 +395,22 @@ def _covering(dim: int, center, direction, rho: float, max_cells: int):
             )
         calls += 2 * cells.size
         if over_cap:
+            record.append(_Level(cells, probes, reach, None, over_cap))
             return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=calls)
-        offset = cells - probes
-        covered = gaps / speed >= np.hypot(offset.real, offset.imag) + diagonal
-        parents = cells[~covered]
+        uncertified = ~(gaps / speed >= reach)
+        record.append(_Level(cells, probes, reach, uncertified, over_cap))
+        parents = cells[uncertified]
         if parents.size == 0:
             return CertifyResult(CertStatus.CERTIFIED, rho, oracle_calls=calls)
         if half < rho * 2.0 ** -14:
             return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=calls)
         half /= 2.0
-        cells = (parents[:, None] + half * _QUADRANTS).ravel()
+        if remembered is not None and np.array_equal(uncertified, remembered.uncertified):
+            remembered, gaps = next(replay, (None, None))
+        else:
+            remembered = None
+        if remembered is None:
+            cells = (parents[:, None] + half * _QUADRANTS).ravel()
 
 
 @dataclass(frozen=True)
@@ -679,6 +717,9 @@ class SublevelDomain(DomainOracle):
     _values: Callable[[np.ndarray], np.ndarray] = dataclass_field(
         init=False, repr=False, compare=False
     )
+    # the last single-disc covering: (key, its levels, whether the center
+    # walked connected); see certify_affine_disc
+    _last_covering: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         from .psh import ScalarField  # psh imports this module
@@ -705,6 +746,7 @@ class SublevelDomain(DomainOracle):
                 return vals
 
         object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_last_covering", (None, [], None))
         if _first(self._clearances(seed[None])) is None:
             raise DomainError("seed is not in the sublevel set")
 
@@ -807,7 +849,54 @@ class SublevelDomain(DomainOracle):
         return self.ambient.enclosing_ball()
 
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
-        return self.certify_affine_discs([center], [direction], rho, max_cells)[0]
+        """One disc's covering, then the walk from the seed to its center.
+
+        The domain remembers its last such call.  The key is the center's
+        bits, rho and the cap; the value is the quadtree the covering walked
+        (``_Level``s: cell centers, clamped probes, reaches, uncertified
+        cells and cap flag, none of which depends on the direction) and
+        whether the center walked connected.  On the same key, as in a
+        radius search at one center, the disc is first evaluated at every
+        remembered probe in one ``_clearances`` batch and ``_covering``
+        replays the level order on those clearances for as long as its
+        levels match; a certified disc whose center already walked skips
+        the walk.  Only the batching changes: every status, witness and
+        charge, and every error, is the one a fresh domain gives.  If that
+        batch raises on a non-finite field value, which may lie at a probe
+        the walk never reaches, the covering goes level by level instead.
+        """
+        from .psh import FieldEvaluationError  # psh imports this module
+
+        center = as_point(center, self.dim)
+        direction = as_point(direction, self.dim)
+        key = (center.tobytes(), rho, max_cells)
+        last_key, levels, connected = self._last_covering
+        if key != last_key:
+            levels, connected = [], None
+        replay = ()
+        if levels:
+            probes = np.concatenate([level.probes for level in levels])
+            try:
+                gaps = self._clearances(center + probes[:, None] * direction)
+            except (DomainError, FieldEvaluationError):
+                pass
+            else:
+                replay, start = [], 0
+                for level in levels:
+                    replay.append((level, gaps[start:start + level.probes.size]))
+                    start += level.probes.size
+        record = []
+        covering = _covering(self.dim, center, direction, rho, max_cells, replay, record)
+        result = _certify_together(self._clearances, [covering])[0]
+        if result.certified:
+            if connected is None:
+                connected = bool(self._connected(center[None])[0])
+            if not connected:
+                result = CertifyResult(
+                    CertStatus.INDETERMINATE, rho, oracle_calls=result.oracle_calls
+                )
+        object.__setattr__(self, "_last_covering", (key, record, connected))
+        return result
 
     def certify_affine_discs(self, centers, directions, rho, max_cells=4096):
         # Cover against the raw sublevel set, then certify connectivity once

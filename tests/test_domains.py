@@ -27,7 +27,7 @@ from koblab.domains import (
     unit_bidisc,
     unit_disc,
 )
-from koblab.kobayashi import cauchy_table
+from koblab.kobayashi import cauchy_table, infinitesimal_bounds
 from koblab.ladder import DyadicLadder
 
 
@@ -908,28 +908,37 @@ class TestCoveringLevelOrder:
         expected, _ = _reference_cover(_row_gap(domain._gaps), center, direction, rho, max_cells)
         assert _result(res) == expected
 
-    @settings(max_examples=40, deadline=None)
+    @pytest.mark.parametrize("name", ["sublevel-ball", "candidate-c3"])
+    @settings(max_examples=100, deadline=None)
     @given(
-        center=st.lists(_complex_in(0.6), min_size=2, max_size=2),
-        direction=st.lists(_complex_in(1.0), min_size=2, max_size=2),
+        data=st.data(),
         rho=st.floats(0.01, 1.0),
         max_cells=st.sampled_from([0, 1, 2, 3, 7, 64, 4096]),
+        steps=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
     )
-    def test_sublevel_matches_the_reference_walk(self, center, direction, rho, max_cells):
-        # the generic-search domain: the covering sees the raw sublevel set,
-        # then one connectivity walk from the seed to the disc's center
-        domain = SublevelDomain(
-            field=psh.norm_squared(2), level=1.0, ambient=Ball(np.zeros(2), 1.2),
-            seed=np.zeros(2), lipschitz=4.8,
-        )
-        res = domain.certify_affine_disc(center, direction, rho, max_cells=max_cells)
-        expected, _ = _reference_cover(
-            _row_gap(domain._clearances), center, direction, rho, max_cells
-        )
-        status, witness, calls = expected
-        if status is CertStatus.CERTIFIED and domain.membership(center) is not Membership.INSIDE:
-            status = CertStatus.INDETERMINATE
-        assert _result(res) == (status, witness, calls)
+    def test_sublevel_matches_the_reference_walk(self, name, data, rho, max_cells, steps):
+        # one domain certifies a disc, then discs up to twice or half as
+        # wide at the same center, growing, shrinking, capped or rejected,
+        # so every call after the first replays the quadtree it remembers.
+        # The covering sees the raw sublevel set, then one connectivity walk
+        # from the seed to the disc's center.
+        domain = {"sublevel-ball": _generic_search_ball, "candidate-c3": _candidate_c3}[name]()
+        coordinates = st.lists(_complex_in(0.6), min_size=domain.dim, max_size=domain.dim)
+        center = np.array(data.draw(coordinates))
+        center *= 0.9 / max(0.9, float(np.linalg.norm(center)))  # inside, at times near the rim
+        direction = np.array(data.draw(coordinates))
+        inside = domain.membership(center) is Membership.INSIDE
+        scale = 1.0
+        for step in [0.0] + steps:
+            scale *= 2.0 ** step
+            res = domain.certify_affine_disc(center, scale * direction, rho, max_cells=max_cells)
+            expected, _ = _reference_cover(
+                _row_gap(domain._clearances), center, scale * direction, rho, max_cells
+            )
+            status, witness, calls = expected
+            if status is CertStatus.CERTIFIED and not inside:
+                status = CertStatus.INDETERMINATE
+            assert _result(res) == (status, witness, calls)
 
     @pytest.mark.parametrize("direction, max_cells", [(0.9, 20_000), (0.9, 1001), (0.95, 20_000)],
                              ids=["certified", "capped", "rejected"])
@@ -952,11 +961,11 @@ class TestCoveringLevelOrder:
             assert batches == sizes and max(sizes) > 128
 
 
-def _generic_search_ball():
+def _generic_search_ball(field=None):
     # {|z|^2 < 1} in B(0, 1.2) with L = 4.8
     return SublevelDomain(
-        field=psh.norm_squared(2), level=1.0, ambient=Ball(np.zeros(2), 1.2),
-        seed=np.zeros(2), lipschitz=4.8,
+        field=psh.norm_squared(2) if field is None else field, level=1.0,
+        ambient=Ball(np.zeros(2), 1.2), seed=np.zeros(2), lipschitz=4.8,
     )
 
 
@@ -1054,3 +1063,51 @@ class TestBatchedCertification:
         assert domain.contains([0.2, 0.0])
         with pytest.raises(DomainError, match="non-finite"):
             domain.contains([0.7, 0.0])
+
+
+class TestRememberedCovering:
+    def test_a_repeated_center_reuses_its_quadtree(self, monkeypatch):
+        batches = _count_clearances(monkeypatch)
+        domain = _generic_search_ball()
+        center, direction = np.array([0.3, 0.1j]), np.array([0.2, 0.1])
+        first = domain.certify_affine_disc(center, direction, 0.999, max_cells=4096)
+        batches.clear()
+        again = domain.certify_affine_disc(center, direction, 0.999, max_cells=4096)
+        assert _result(again) == _result(first)
+        assert len(batches) == 1  # 3 with one batch per level and a walk
+        batches.clear()
+        metric = infinitesimal_bounds(_generic_search_ball(), [0.3 + 0.1j, -0.2j], [1, 1j])
+        assert (metric.lower.hex(), metric.upper.hex()) == (
+            "0x1.3ebf72d663a31p+0", "0x1.be1f4218266d7p+0"
+        )
+        assert len(batches) <= 110  # 275 with one batch per level and a walk per disc
+
+    def test_a_remembered_probe_that_raises_changes_nothing(self):
+        # the field is NaN on a tiny patch that only the narrow disc's
+        # evaluation at a remembered probe of the wide disc's deepest level
+        # hits; the narrow disc's own walk never gets there
+        center, wide = np.array([0.3, 0.1j]), np.array([0.5, 0.2])
+        narrow = 0.25 * wide
+        probe = _generic_search_ball(norm2)
+        wide_result = probe.certify_affine_disc(center, wide, 0.999)
+        patch = center + probe._last_covering[1][-1].probes[-1] * narrow
+
+        def field(z):
+            return math.nan if np.abs(z - patch).max() < 1e-9 else norm2(z)
+
+        fresh = _generic_search_ball(field).certify_affine_disc(center, narrow, 0.999)
+        domain = _generic_search_ball(field)
+        assert _result(domain.certify_affine_disc(center, wide, 0.999)) == _result(wide_result)
+        with pytest.raises(DomainError, match="non-finite"):
+            domain._clearances(patch[None])
+        assert _result(domain.certify_affine_disc(center, narrow, 0.999)) == _result(fresh)
+
+    def test_equality_and_repr_ignore_it(self):
+        field, ambient = psh.norm_squared(1), Ball(np.zeros(1), 1.2)
+        used, twin = (
+            SublevelDomain(field=field, level=1.0, ambient=ambient, seed=np.zeros(1), lipschitz=2.4)
+            for _ in range(2)
+        )
+        assert used.certify_affine_disc([0.3], [0.2], 0.999).certified
+        assert used == twin
+        assert repr(used) == repr(twin)

@@ -523,7 +523,7 @@ class TestClosePointStability:
         w = z.copy()
         w[0] += step
         est = estimate_distance(domain, z, w)
-        assert est.upper == pytest.approx(oracle_disc(0, step), rel=1e-8)
+        assert est.upper == pytest.approx(oracle_disc(0, step), rel=1e-8, abs=0)
         assert est.budget_used <= budget
 
     @pytest.mark.parametrize("step", [1e-160, 1e-170, 1e-300])
@@ -545,7 +545,7 @@ class TestClosePointStability:
         z = np.array([0.3 + 0.2j, -0.1j])
         base = ball_distance(np.zeros(2), math.sqrt(2), z, z + np.array([1e-6, 0]))
         tiny = ball_distance(np.zeros(2), math.sqrt(2), z, z + np.array([1e-12, 0]))
-        assert tiny == pytest.approx(base * 1e-6, rel=1e-4)
+        assert tiny == pytest.approx(base * 1e-6, rel=1e-4, abs=0)
 
 
 class TestNearBoundaryPairs:
@@ -668,8 +668,8 @@ class TestInfinitesimal:
         v = np.array([1.0, 1j if scale > 1 else 1.0])
         one = infinitesimal_bounds(unit_ball(2), z, v)
         scaled = infinitesimal_bounds(unit_ball(2), z, scale * v)
-        assert scaled.lower == pytest.approx(scale * one.lower, rel=1e-12)
-        assert scaled.upper == pytest.approx(scale * one.upper, rel=1e-12)
+        assert scaled.lower == pytest.approx(scale * one.lower, rel=1e-12, abs=0)
+        assert scaled.upper == pytest.approx(scale * one.upper, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("z, v", [([0.3, 0.0], [1.5e308, 1.5e308]), ([0.9, 0.0], [1e308, 0.0])],
                              ids=["norm", "metric"])
