@@ -441,20 +441,20 @@ class Ball(DomainOracle):
         p = as_point(p, self.dim)
         q = as_point(q, self.dim)
         d = q - p
-        nd2 = float(np.sum(np.abs(d) ** 2))
+        nd2 = float((np.abs(d) ** 2).sum())
         scale = 1.0
         if nd2 < sys.float_info.min and d.any():
             # |d|^2 has lost d's bits: slice along the exact multiple 2^600 d,
             # whose disc is 2^600 times smaller
             scale = 2.0**600
             d = d * scale
-            nd2 = float(np.sum(np.abs(d) ** 2))
+            nd2 = float((np.abs(d) ** 2).sum())
         if nd2 == 0:
             return None
         a = p - self.center
-        s = complex(np.sum(a * np.conj(d)))
+        s = complex((a * np.conj(d)).sum())
         zc = -s / nd2
-        rc2 = (self.radius**2 - float(np.sum(np.abs(a) ** 2)) + abs(s) ** 2 / nd2) / nd2
+        rc2 = (self.radius**2 - float((np.abs(a) ** 2).sum()) + abs(s) ** 2 / nd2) / nd2
         if not 0 < rc2 < math.inf:  # empty, or too large for a float disc
             return None
         zc, rc = complex(zc.real * scale, zc.imag * scale), math.sqrt(rc2) * scale
@@ -467,11 +467,11 @@ class Ball(DomainOracle):
         # room / (|s| + sqrt(|s|^2 + |v|^2 room)) so that nothing cancels
         a = as_point(z, self.dim) - self.center
         v = as_point(v, self.dim)
-        room = self.radius**2 - float(np.sum(np.abs(a) ** 2))
+        room = self.radius**2 - float((np.abs(a) ** 2).sum())
         if room <= 0:
             return 0.0
-        s = abs(complex(np.sum(a * np.conj(v))))
-        denominator = s + math.sqrt(s * s + float(np.sum(np.abs(v) ** 2)) * room)
+        s = abs(complex((a * np.conj(v)).sum()))
+        denominator = s + math.sqrt(s * s + float((np.abs(v) ** 2).sum()) * room)
         return room / denominator if denominator > 0 else math.inf
 
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
@@ -480,11 +480,11 @@ class Ball(DomainOracle):
         center = as_point(center, self.dim)
         direction = as_point(direction, self.dim)
         a = center - self.center
-        s = complex(np.sum(a * np.conj(direction)))
+        s = complex((a * np.conj(direction)).sum())
         peak2 = (
-            float(np.sum(np.abs(a) ** 2))
+            float((np.abs(a) ** 2).sum())
             + 2.0 * rho * abs(s)
-            + rho**2 * float(np.sum(np.abs(direction) ** 2))
+            + rho**2 * float((np.abs(direction) ** 2).sum())
         )
         if math.sqrt(peak2) < self.radius:
             return CertifyResult(CertStatus.CERTIFIED, rho)
@@ -648,7 +648,7 @@ class ProductDomain(DomainOracle):
         pb, qb = self.blocks(p), self.blocks(q)
         discs = []
         for f, pblk, qblk in zip(self.factors, pb, qb):
-            if np.array_equal(qblk, pblk):
+            if (qblk == pblk).all():
                 if _first(f._gaps(pblk[None])) is None:
                     return None
                 continue

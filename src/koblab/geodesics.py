@@ -9,13 +9,14 @@ A curve sigma on an interval is a (lambda, kappa)-almost-geodesic when
 
 The checker samples both conditions and compares distance brackets against
 the allowed band.  A FAIL verdict requires a certified violation (the whole
-bracket outside the band); anything short of that is INDETERMINATE.  The
-visibility harness can only sample curve families, so its output is
-experimental evidence, never a visibility certificate.
+bracket outside the band) and ends at the first one; anything short of that
+is INDETERMINATE.  The visibility harness can only sample curve families, so
+its output is experimental evidence, never a visibility certificate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,11 @@ class SpeedCheck:
 
 @dataclass(frozen=True)
 class AlmostGeodesicVerdict:
-    """Both conditions' checks, and the largest boundary distance on the curve."""
+    """Both conditions' checks, and the largest boundary distance on the curve.
+
+    With no checks at all (a one-sample curve) there is no evidence either
+    way, so the verdict is INDETERMINATE.
+    """
 
     lam: float
     kappa: float
@@ -109,7 +114,7 @@ class AlmostGeodesicVerdict:
         ]
         if FAIL in statuses:
             return FAIL
-        if all(s == PASS for s in statuses):
+        if statuses and all(s == PASS for s in statuses):
             return PASS
         return INDETERMINATE
 
@@ -131,9 +136,15 @@ def check_almost_geodesic(
     at interior nodes only, with a step- and depth-aware slack added to the
     speed limit: 2 * max|sigma| * h / delta_min, the local Lipschitz
     allowance for the discretized metric along the curve.
+
+    The checks run in a fixed order, sorted index pairs and then sorted
+    speed nodes, and a FAIL verdict ends at its first certified violation:
+    its checks are the prefix of the full plan up to that one FAIL, and a
+    failing pair skips condition (b) altogether.  PASS and INDETERMINATE
+    verdicts run the whole plan.
     """
-    if lam < 1.0 or kappa < 0.0:
-        raise ValueError("need lambda >= 1 and kappa >= 0")
+    if not (1.0 <= lam < math.inf and 0.0 <= kappa < math.inf):
+        raise ValueError("need finite lambda >= 1 and kappa >= 0")
     k = curve.size
     if curve.dim != domain.dim:
         raise DimensionMismatchError(f"dimension {curve.dim}, expected {domain.dim}")
@@ -174,6 +185,8 @@ def check_almost_geodesic(
         a_checks.append(
             PairCheck(s, t, est.lower, est.upper, band_low, band_high, status)
         )
+        if status == FAIL:
+            return AlmostGeodesicVerdict(lam, kappa, tuple(a_checks), (), max_delta)
 
     delta_min = float(np.min(deltas))
     h_max = float(np.max(np.diff(curve.params)))
@@ -201,6 +214,8 @@ def check_almost_geodesic(
         b_checks.append(
             SpeedCheck(float(curve.params[i]), est.lower, est.upper, limit, status)
         )
+        if status == FAIL:
+            break
 
     return AlmostGeodesicVerdict(lam, kappa, tuple(a_checks), tuple(b_checks), max_delta)
 
@@ -278,10 +293,12 @@ def sample_cap_points(
     nested values of r_nbhd are themselves nested, which makes shrinking
     neighborhoods test a subfamily of curves.
     """
+    if not 0.0 < r_nbhd < math.inf:
+        raise ValueError("r_nbhd must be finite and positive")
+    if r_cap is not None and not r_nbhd <= r_cap < math.inf:
+        raise ValueError("r_cap must be finite and at least r_nbhd")
     anchor = as_point(anchor, domain.dim)
     scale = r_nbhd if r_cap is None else r_cap
-    if scale < r_nbhd:
-        raise ValueError("r_cap must be at least r_nbhd")
     out = []
     for _ in range(CAP_STREAM_LIMIT):
         if len(out) >= count:

@@ -342,15 +342,15 @@ def ball_distance(center, radius: float, z, w) -> float:
     if not a.any():
         m = _norm(b)
     else:
-        na2 = float(np.sum(np.abs(a) ** 2))
-        ip = complex(np.sum(b * np.conj(a)))  # <b, a>
+        na2 = float((np.abs(a) ** 2).sum())
+        ip = complex((b * np.conj(a)).sum())  # <b, a>
         den = abs(1.0 - ip)
         if den == 0.0:
             raise EstimationError("points outside the open ball")
         if na2 < sys.float_info.min:
             # |a|^2 has lost a's bits: project onto the exact multiple 2^600 a
             u = a * 2.0**600
-            parallel = (complex(np.sum(b * np.conj(u))) / float(np.sum(np.abs(u) ** 2))) * u
+            parallel = (complex((b * np.conj(u)).sum()) / float((np.abs(u) ** 2).sum())) * u
         else:
             parallel = (ip / na2) * a
         orthogonal = b - parallel
@@ -385,11 +385,11 @@ def ball_metric(center, radius: float, z, v) -> float:
         if s > 0:
             return abs(complex(v[0])) / radius / s
     u = v / radius
-    s = 1.0 - float(np.sum(np.abs(a) ** 2))
+    s = 1.0 - float((np.abs(a) ** 2).sum())
     if s <= 0:
         raise EstimationError("base point outside the open ball")
-    ip = abs(complex(np.sum(u * np.conj(a)))) ** 2
-    return math.sqrt(float(np.sum(np.abs(u) ** 2)) * s + ip) / s
+    ip = abs(complex((u * np.conj(a)).sum())) ** 2
+    return math.sqrt(float((np.abs(u) ** 2).sum()) * s + ip) / s
 
 
 def lower_bound(domain: DomainOracle, z, w) -> tuple[float, dict]:
@@ -662,7 +662,7 @@ def search_upper_bound(
     z = as_point(z, domain.dim)
     w = as_point(w, domain.dim)
     oracle = CountingOracle(domain, budget)
-    if np.array_equal(z, w):
+    if (z == w).all():
         return 0.0, {"kind": "same-point"}, 0, "identity"
     if oracle.remaining() <= 0:
         return None, None, 0, "exhausted"
@@ -677,7 +677,7 @@ def search_upper_bound(
         per, used_all = [], True
         for f, block in factor_slices(factors):
             zb, wb = z[block], w[block]
-            if np.array_equal(zb, wb):
+            if (zb == wb).all():
                 per.append((0.0, None))
                 continue
             sub_val, sub_cert, sub_used, _ = search_upper_bound(
@@ -752,7 +752,7 @@ def estimate_distance(
     for name, gap in zip("zw", domain._gaps(np.array([z, w]))):
         if math.isnan(gap):
             raise PointOutsideDomainError(f"{name} is not in the domain")
-    if np.array_equal(z, w):
+    if (z == w).all():
         return DistanceEstimate(
             lower=0.0,
             upper=0.0,

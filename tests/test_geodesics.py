@@ -26,6 +26,7 @@ from koblab.kobayashi import (
     DiscChain,
     UncertifiedDiscError,
     chain_upper_bound,
+    estimate_distance,
 )
 from koblab.ladder import DyadicLadder
 from koblab.poincare import poincare_distance
@@ -34,6 +35,13 @@ from koblab.poincare import poincare_distance
 def coordinate_disc_chain(zeta_in=0.0, zeta_out=0.5):
     disc = AnalyticDisc([0.0, 0.0], [1.0 - 1e-9, 0.0])
     return DiscChain(links=(ChainLink(disc, zeta_in, zeta_out),))
+
+
+def euclidean_segment():
+    """The ball's diameter at Euclidean speed: far too slow near the boundary."""
+    ts = np.linspace(0.0, 1.8, 40)
+    pts = np.stack([(-0.9 + ts).astype(complex), np.zeros(40, complex)], axis=1)
+    return SampledCurve(ts, pts)
 
 
 def _unit_phase(rng):
@@ -127,7 +135,11 @@ class TestChecker:
         assert verdict.max_delta.hex() == float(max(domain._gaps(curve.points))).hex()
         # a one-sample curve is checked for nothing but still has its depth
         point = SampledCurve(np.array([0.0]), np.array([[0.1, 0.25j]]))
-        assert check_almost_geodesic(domain, point, 1.0, 0.1).max_delta == 0.75
+        verdict = check_almost_geodesic(domain, point, 1.0, 0.1)
+        assert verdict.max_delta == 0.75
+        # no checks are no evidence: not a pass
+        assert verdict.condition_a == verdict.condition_b == ()
+        assert verdict.overall == "indeterminate"
 
     def test_zero_kappa_is_indeterminate_not_fail(self):
         curve = build_chain_curve(unit_bidisc(), coordinate_disc_chain(), 200)
@@ -138,13 +150,20 @@ class TestChecker:
         assert "indeterminate" in statuses
 
     def test_euclidean_segment_certified_fail(self):
-        ts = np.linspace(0.0, 1.8, 40)
-        pts = np.stack([(-0.9 + ts).astype(complex), np.zeros(40, complex)], axis=1)
-        curve = SampledCurve(ts, pts)
+        curve = euclidean_segment()
         verdict = check_almost_geodesic(unit_ball(2), curve, lam=1.0, kappa=0.1, seed=2)
         assert verdict.overall == "fail"
         certified = [c for c in verdict.condition_a if c.status == "fail"]
         assert certified  # the whole bracket exits the band somewhere
+
+    @pytest.mark.parametrize(
+        "lam, kappa",
+        [(math.nan, 0.1), (1.0, math.nan), (1.0, math.inf), (math.inf, 0.1)],
+        ids=["lam-nan", "kappa-nan", "kappa-inf", "lam-inf"],
+    )
+    def test_non_finite_parameters_rejected(self, lam, kappa):
+        with pytest.raises(ValueError, match="finite"):
+            check_almost_geodesic(unit_ball(2), euclidean_segment(), lam, kappa)
 
     def test_parameter_shift_invariance(self):
         curve = build_chain_curve(unit_bidisc(), coordinate_disc_chain(), 150)
@@ -179,6 +198,74 @@ class TestChecker:
         curve = SampledCurve(np.array([0.0]), np.array([[0.1 + 0j]]))
         with pytest.raises(DimensionMismatchError):
             check_almost_geodesic(unit_bidisc(), curve, 1.0, 0.1)
+
+
+def _counting(monkeypatch, name):
+    """Replace ``koblab.geodesics.<name>`` with a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(geodesics, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, name, counted)
+    return calls
+
+
+class TestFirstViolation:
+    """A FAIL verdict ends at its first certified violation."""
+
+    def test_control_segment_stops_at_its_first_pair(self, monkeypatch):
+        distances = _counting(monkeypatch, "estimate_distance")
+        speeds = _counting(monkeypatch, "infinitesimal_bounds")
+        verdict = check_almost_geodesic(unit_ball(2), euclidean_segment(), 1.0, 0.1, seed=2)
+        statuses = [c.status for c in verdict.condition_a]
+        assert verdict.overall == "fail"
+        assert statuses == ["fail"] and verdict.condition_b == ()
+        assert (len(distances), len(speeds)) == (1, 0)
+
+    def test_fail_in_condition_b_stops_there(self):
+        curve = euclidean_segment()
+        verdict = check_almost_geodesic(unit_ball(2), curve, 1.0, 2.0, seed=2)
+        assert verdict.overall == "fail"
+        assert len(verdict.condition_a) == 24
+        assert "fail" not in {c.status for c in verdict.condition_a}
+        statuses = [c.status for c in verdict.condition_b]
+        assert statuses[-1] == "fail" and "fail" not in statuses[:-1]
+
+    def test_a_fail_is_a_prefix_of_the_full_plan(self):
+        # the plan depends on the seed and the curve only, so the same seed
+        # at parameters that fail nothing runs the whole plan
+        curve, ball = euclidean_segment(), unit_ball(2)
+        pair_fail = check_almost_geodesic(ball, curve, 1.0, 0.1, seed=2)
+        speed_fail = check_almost_geodesic(ball, curve, 1.0, 2.0, seed=2)
+        full = check_almost_geodesic(ball, curve, 10.0, 2.0, seed=2)
+        assert full.overall != "fail" and len(full.condition_b) == 12
+
+        def brackets(checks):
+            return [(c.s, c.t, c.lower.hex(), c.upper.hex()) for c in checks]
+
+        assert brackets(pair_fail.condition_a) == brackets(full.condition_a[:1])
+        assert brackets(speed_fail.condition_a) == brackets(full.condition_a)
+        n = len(speed_fail.condition_b)
+        assert [(c.t, c.lower.hex(), c.upper.hex()) for c in speed_fail.condition_b] == [
+            (c.t, c.lower.hex(), c.upper.hex()) for c in full.condition_b[:n]
+        ]
+        for v in (pair_fail, speed_fail):
+            assert v.max_delta.hex() == full.max_delta.hex()
+
+    @pytest.mark.parametrize("kappa", [0.1, 2.0])
+    def test_pair_checks_are_the_estimators_brackets(self, kappa):
+        curve, ball, margin = euclidean_segment(), unit_ball(2), 5e-4
+        verdict = check_almost_geodesic(ball, curve, 1.0, kappa, seed=2, margin=margin)
+        for check in verdict.condition_a:
+            i, j = np.searchsorted(curve.params, [check.s, check.t])
+            est = estimate_distance(
+                ball, curve.points[i], curve.points[j],
+                budget=geodesics.PAIR_BUDGET, margin=margin,
+            )
+            assert (check.lower.hex(), check.upper.hex()) == (est.lower.hex(), est.upper.hex())
 
 
 class TestVisibility:
@@ -246,6 +333,22 @@ class TestVisibility:
         small, large = reports[0.03], reports[0.08]
         assert small.epsilon_star is not None and large.epsilon_star is not None
         assert small.epsilon_star >= large.epsilon_star - 1e-12
+
+    @pytest.mark.parametrize(
+        "r_nbhd, r_cap",
+        [(0.0, None), (-0.05, None), (math.nan, None), (math.inf, None),
+         (0.05, math.nan), (0.05, math.inf), (0.05, 0.04)],
+    )
+    def test_bad_cap_radii_rejected_before_any_draw(self, monkeypatch, r_nbhd, r_cap):
+        draws = _counting(monkeypatch, "_unit_ball_sample")
+        rng = np.random.Generator(np.random.Philox(key=0))
+        with pytest.raises(ValueError, match="r_nbhd|r_cap"):
+            sample_cap_points(unit_ball(2), [1.0, 0.0], r_nbhd, 2, rng, r_cap=r_cap)
+        with pytest.raises(ValueError, match="r_nbhd|r_cap"):
+            visibility_experiment(
+                unit_ball(2), [1.0, 0.0], [-1.0, 0.0], r_nbhd=r_nbhd, r_cap=r_cap, n_curves=2,
+            )
+        assert draws == []
 
     def test_cap_sampling_nested(self):
         # identical streams: the small-radius accepts are a subset of the
