@@ -46,6 +46,12 @@ print("== infinitesimal metric ==")
 for name, domain in (("disc", unit_disc()), ("ball", unit_ball(2)), ("bidisc", unit_bidisc())):
     k = infinitesimal_bounds(domain, np.zeros(domain.dim), np.eye(domain.dim)[0])
     print(f"  {name:>6}: k(0; e1) in [{k.lower:.9f}, {k.upper:.9f}]")
+# a product's metric is the largest of its factors': each factor bounds its
+# own block of the direction, so the bracket meets the product formula
+z, v = np.array([0.5 + 0.2j, -0.3j]), np.array([0.4 - 0.1j, 0.9j])
+k = infinitesimal_bounds(unit_bidisc(), z, v)
+truth = max(abs(v[j]) / (1 - abs(z[j]) ** 2) for j in range(2))
+print(f"  bidisc, generic point: [{k.lower:.9f}, {k.upper:.9f}], product formula {truth:.9f}")
 
 print()
 print("== slice identity: distances through the zero fiber ==")

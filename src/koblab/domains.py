@@ -152,15 +152,15 @@ class DomainOracle(ABC):
         return gap
 
     # Optional structure hooks.  Estimators use them when available and fall
-    # back to the generic covering certifier otherwise.  ``centered_radius``
-    # only tells a search where to look; what it says is never reported
-    # unless the disc certifier confirms it.
+    # back to the generic covering certifier otherwise.
 
     def product_factors(self) -> tuple["DomainOracle", ...] | None:
         """The factors of a Cartesian product, in coordinate order.
 
         A domain that declares them takes its lower bounds from them, not
-        from its enclosing ball.
+        from its enclosing ball.  With at least two, its metric upper comes
+        from them too, and its distance upper is the smaller of theirs and
+        its own slice disc's.
         """
         return None
 
@@ -170,15 +170,6 @@ class DomainOracle(ABC):
         Returns (center, radius) in the zeta-plane, or None when the slice is
         not a round disc the oracle can name.  Once its disc is certified, it
         gives ``search_upper_bound`` and ``infinitesimal_bounds`` their upper.
-        """
-        return None
-
-    def centered_radius(self, z, v) -> float | None:
-        """sup of r with {z + zeta v : |zeta| < r} inside the domain, for z inside.
-
-        A hint from exact geometry, never a certificate: ``infinitesimal_bounds``
-        starts its radius search from it and lets ``certify_affine_disc``
-        decide.  None when the oracle has no closed form.
         """
         return None
 
@@ -462,18 +453,6 @@ class Ball(DomainOracle):
             return None
         return zc, rc
 
-    def centered_radius(self, z, v):
-        # the root of |v|^2 r^2 + 2 |<a, v>| r - (R^2 - |a|^2) = 0, written
-        # room / (|s| + sqrt(|s|^2 + |v|^2 room)) so that nothing cancels
-        a = as_point(z, self.dim) - self.center
-        v = as_point(v, self.dim)
-        room = self.radius**2 - float((np.abs(a) ** 2).sum())
-        if room <= 0:
-            return 0.0
-        s = abs(complex((a * np.conj(v)).sum()))
-        denominator = s + math.sqrt(s * s + float((np.abs(v) ** 2).sum()) * room)
-        return room / denominator if denominator > 0 else math.inf
-
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
         if max_cells < 1:
             return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=0)
@@ -551,18 +530,6 @@ class Polydisc(DomainOracle):
                     return None
                 discs.append((zc, rc))
         return _nested_intersection(discs)
-
-    def centered_radius(self, z, v):
-        # the first moving coordinate to reach its circle: (r_j - |a_j|) / |v_j|
-        room = self.radii - np.abs(as_point(z, self.dim) - self.center)
-        if np.any(room <= 0):
-            return 0.0
-        speed = np.abs(as_point(v, self.dim))
-        # Python's float division takes a subnormal speed's limit to inf,
-        # where numpy's warns of the overflow
-        return min(
-            (r / s for r, s in zip(room.tolist(), speed.tolist()) if s > 0), default=math.inf
-        )
 
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
         if max_cells < 1:
@@ -657,18 +624,6 @@ class ProductDomain(DomainOracle):
                 return None
             discs.append(sub)
         return _nested_intersection(discs)
-
-    def centered_radius(self, z, v):
-        # the factors whose block of v is zero stay at z's block
-        radius = math.inf
-        for f, zblk, vblk in zip(self.factors, self.blocks(z), self.blocks(v)):
-            if not vblk.any():
-                continue
-            sub = f.centered_radius(zblk, vblk)
-            if sub is None:
-                return None
-            radius = min(radius, sub)
-        return radius
 
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
         cb, db = self.blocks(center), self.blocks(direction)

@@ -11,6 +11,12 @@ forms, one model per domain: block projections onto declared product
 factors, or else the inclusion into the enclosing ball and its
 automorphism formula.
 
+A declared product bounds all four sides, distance and metric, lower and
+upper, through its factors: the Kobayashi distance and metric of a product
+are the largest of its factors' (Jarnicki-Pflug, Invariant Distances and
+Metrics in Complex Analysis), so each side takes the largest of the
+factors' bounds.
+
 Estimates never return a value on the wrong side of the truth; when no
 certificate is found within budget the upper bound is flagged as unknown
 (never silently infinite).
@@ -51,8 +57,6 @@ BALL_CHAIN_DEPTH = 8
 METRIC_TOL = 1e-8
 METRIC_BISECTIONS = 64
 METRIC_CELLS = 2048
-# the hinted bracket's lower end sits this far (relative) below the hint
-METRIC_HINT_MARGIN = 1e-12
 # slice_identity_check: sampled points per side of the slice hypothesis, and
 # the slack allowed between the two brackets
 HYPOTHESIS_SAMPLES = 32
@@ -786,65 +790,28 @@ def estimate_distance(
 def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
     """Bracket for the infinitesimal metric k(z; v).
 
-    Upper bound: when the oracle names the parameter region of the complex
-    line through z along v (``slice_region``) and certifies it, the disc on
-    that region through z gives the upper.  Away from the region's center
-    and rim this off-center disc beats the centered one, so the search for
-    the largest certified radius r of the centered disc
-    zeta -> z + zeta r v/||v|| runs only without such a region, or when z
-    sits within the working margin of the region's center or rim; then the
-    smaller upper is kept.  Lower
-    bound: the closed form of the declared factors or else of the enclosing
-    ball.  Both sides are exactly homogeneous in v, and ||v|| is taken after
-    scaling v by a power of two, so no finite nonzero v overflows or
-    underflows it.
+    Both sides work with the unit direction u = v / ||v|| and scale by
+    ||v|| at the end.  Upper bound: a declared product takes the largest of
+    its moving factors' uppers, since the Kobayashi metric of a product is
+    the largest of its factors' metrics.  Any other domain takes the disc on
+    the region of the complex line through z along u (``slice_region``),
+    when the oracle names it and certifies it; the search for the largest
+    certified radius r of the centred disc zeta -> z + zeta r u runs without
+    such a region, or when z sits within the working margin of the region's
+    rim, and then the smaller upper is kept.  Lower bound: the closed form
+    of the declared factors or else of the enclosing ball.  Both sides are
+    exactly homogeneous in v, and ||v|| is taken after scaling v by a power
+    of two, so no finite nonzero v overflows or underflows it.
     """
     z = as_point(z, domain.dim)
     v = as_point(v, domain.dim)
-    parts = v.view(float)  # real and imaginary parts, interleaved
-    peak = float(np.max(np.abs(parts)))
-    if peak == 0:
+    if not v.any():
         raise EstimationError("direction must be nonzero")
     gap = float(domain._gaps(z[None])[0])
     if math.isnan(gap):
         raise PointOutsideDomainError("base point not in the domain")
-    # everything below works with the unit direction and scales by ||v|| at
-    # the end, so homogeneity is exact whenever c v and c ||v|| round exactly.
-    # Scaling by a power of two is exact, so unit and speed round as
-    # v / ||v|| and ||v|| would wherever ||v|| neither overflows nor underflows.
-    exponent = math.frexp(peak)[1]
-    scaled = np.ldexp(parts, -exponent).view(complex)
-    norm = float(np.linalg.norm(scaled))
-    unit = scaled / norm
-    try:
-        speed = math.ldexp(norm, exponent)
-    except OverflowError:
-        raise EstimationError("the norm of the direction overflows") from None
-    rho = 1.0 - 1e-9
-
-    # region of {eta : z + eta unit in domain}; psi(xi) = z + (zc + rc rho xi) unit
-    # carries xi0 to z with psi'(xi0) = rc rho unit, so
-    # k(z; unit) <= 1 / (rc rho (1 - |xi0|^2)).  That is below the centered
-    # disc's 1 / (rc - |zc|) exactly when rho |xi0| (1 - |xi0|) > 1 - rho;
-    # within twice that of the region's center or rim the centered search
-    # still runs.
-    unit_upper = math.inf
-    centered = True
-    region = domain.slice_region(z, z + unit)
-    if region is not None:
-        zc, rc = region
-        xi0 = -zc / (rc * rho)
-        if abs(xi0) < 1.0:
-            result = domain.certify_affine_disc(
-                z + zc * unit, (rc * rho) * unit, 1.0, max_cells=METRIC_CELLS
-            )
-            if result.certified:
-                unit_upper = 1.0 / (rc * rho * (1.0 - abs(xi0) ** 2))
-                centered = abs(xi0) * (1.0 - abs(xi0)) <= 2.0 * (1.0 - rho)
-    if centered:
-        unit_upper = min(unit_upper, _centered_unit_upper(domain, z, unit, gap, rho))
-
-    upper = speed * unit_upper
+    unit, speed = _split_direction(v)
+    upper = speed * _unit_upper(domain, z, unit, gap)
     if upper == math.inf:
         raise EstimationError("the metric overflows")
     lower = speed * metric_lower_bound(domain, z, unit)
@@ -853,41 +820,91 @@ def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
     return MetricEstimate(lower=min(lower, upper), upper=upper)
 
 
+def _split_direction(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """(v / ||v||, ||v||) for a nonzero vector v.
+
+    The norm is taken of v scaled by a power of two, which is exact, so the
+    two round as v / ||v|| and ||v|| would wherever ||v|| neither overflows
+    nor underflows.
+    """
+    parts = v.view(float)  # real and imaginary parts, interleaved
+    # a Python loop over the few parts beats numpy's per-call overhead
+    exponent = math.frexp(max(map(abs, parts.tolist())))[1]
+    scaled = np.ldexp(parts, -exponent).view(complex)
+    norm = float(np.linalg.norm(scaled))
+    try:
+        speed = math.ldexp(norm, exponent)
+    except OverflowError:
+        raise EstimationError("the norm of the direction overflows") from None
+    return scaled / norm, speed
+
+
+def _unit_upper(domain: DomainOracle, z: np.ndarray, unit: np.ndarray, gap: float) -> float:
+    """Upper bound for k(z; unit), for z inside the domain and a unit vector.
+
+    ``gap`` is a certified lower bound on z's distance to the complement,
+    where the centred search starts.  A product's serves its factors: its
+    distance to the complement is the least of theirs.
+    """
+    factors = domain.product_factors()
+    if factors is not None and len(factors) >= 2:
+        # a block of the unit vector is split as v is, so that each factor
+        # again works with a unit direction, whatever the block's size
+        uppers = []
+        for f, block in factor_slices(factors):
+            if unit[block].any():
+                sub_unit, sub_speed = _split_direction(unit[block])
+                uppers.append(sub_speed * _unit_upper(f, z[block], sub_unit, gap))
+        return max(uppers)
+    rho = 1.0 - 1e-9
+    # region of {eta : z + eta unit in domain}; psi(xi) = z + (zc + rc rho xi) unit
+    # carries xi0 to z with psi'(xi0) = rc rho unit, so
+    # k(z; unit) <= 1 / (rc rho (1 - |xi0|^2)).  That is below the centred
+    # disc's 1 / (rc - |zc|) exactly when rho |xi0| (1 - |xi0|) > 1 - rho;
+    # within twice that of the region's rim the centred search still runs.
+    # Near the region's centre the two differ only by rounding.
+    region = domain.slice_region(z, z + unit)
+    if region is not None:
+        zc, rc = region
+        xi0 = abs(-zc / (rc * rho))
+        if xi0 < 1.0:
+            result = domain.certify_affine_disc(
+                z + zc * unit, (rc * rho) * unit, 1.0, max_cells=METRIC_CELLS
+            )
+            if result.certified:
+                upper = 1.0 / (rc * rho * (1.0 - xi0**2))
+                if xi0 < 0.5 or xi0 * (1.0 - xi0) > 2.0 * (1.0 - rho):
+                    return upper
+                return min(upper, _centered_unit_upper(domain, z, unit, gap, rho))
+    return _centered_unit_upper(domain, z, unit, gap, rho)
+
+
 def _centered_unit_upper(
     domain: DomainOracle, z: np.ndarray, unit: np.ndarray, gap: float, rho: float
 ) -> float:
     """1 / (r rho) for the largest certified radius r of zeta -> z + zeta r unit.
 
     The disc of radius r is certified on parameter radius rho (against the
-    disc certifier).  When the oracle names the radius in closed form
-    (``centered_radius``), the bisection starts from a bracket around it
-    that takes two certifier calls: just below it must certify and just
-    above it must not.  The hint is not a certificate; when either call
-    disagrees with it (near the boundary, where the certifier's rounding
-    moves its threshold, or when the hint is wrong) the search runs as
-    without one, by halving from ``gap``, doubling and bisection.
+    disc certifier).  The search halves the radius from ``gap`` until a disc
+    certifies, doubles it until one does not, and bisects between the two.
     """
 
     def certified(r: float) -> bool:
         res = domain.certify_affine_disc(z, r * unit, rho, max_cells=METRIC_CELLS)
         return res.certified
 
-    bracket = _hinted_bracket(domain.centered_radius(z, unit), rho, certified)
-    if bracket is not None:
-        lo, hi = bracket
-    else:
-        lo = gap * 0.5
-        while lo > 0 and not certified(lo):
-            lo *= 0.5
-            if lo < 1e-300:
-                raise EstimationError("no certified disc at any radius")
-        _, enclosing_radius = domain.enclosing_ball()
-        hi = lo * 2.0
-        while certified(hi):
-            lo = hi
-            hi *= 2.0
-            if lo > 8.0 * enclosing_radius:
-                raise EstimationError("certified radius exceeds the enclosing ball")
+    lo = gap * 0.5
+    while lo > 0 and not certified(lo):
+        lo *= 0.5
+        if lo < 1e-300:
+            raise EstimationError("no certified disc at any radius")
+    _, enclosing_radius = domain.enclosing_ball()
+    hi = lo * 2.0
+    while certified(hi):
+        lo = hi
+        hi *= 2.0
+        if lo > 8.0 * enclosing_radius:
+            raise EstimationError("certified radius exceeds the enclosing ball")
     for _ in range(METRIC_BISECTIONS):
         if hi - lo <= METRIC_TOL * max(lo, 1e-12):
             break
@@ -897,23 +914,6 @@ def _centered_unit_upper(
         else:
             hi = mid
     return 1.0 / (lo * rho)
-
-
-def _hinted_bracket(hint, rho: float, certified) -> tuple[float, float] | None:
-    """(lo, hi) around a ``centered_radius`` hint, or None.
-
-    The disc of radius r is certified on parameter radius rho, so the
-    threshold is hint / rho.  lo must certify and hi must not; otherwise, or
-    without a finite positive hint, None.  hi - lo is within METRIC_TOL, so
-    the bisection ends at once.
-    """
-    if hint is None or not 0.0 < hint < math.inf:
-        return None
-    lo = hint / rho * (1.0 - METRIC_HINT_MARGIN)
-    hi = hint / rho * (1.0 + 0.5 * METRIC_TOL)
-    if hi < math.inf and certified(lo) and not certified(hi):
-        return lo, hi
-    return None
 
 
 @dataclass(frozen=True)

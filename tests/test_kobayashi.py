@@ -9,6 +9,7 @@ shares no code with koblab.
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -288,12 +289,12 @@ def _product_pair(data, name):
     return _pair(data, domain.dim, scales)
 
 
-class Hiding(DomainOracle):
-    """``inner`` with one optional hook, ``product_factors`` or ``slice_region``,
-    answering None; everything else is asked of ``inner``."""
+class HiddenFactors(DomainOracle):
+    """``inner`` with ``product_factors`` answering None; everything else is
+    asked of ``inner``."""
 
-    def __init__(self, inner, hook):
-        self.inner, self.hook, self.dim = inner, hook, inner.dim
+    def __init__(self, inner):
+        self.inner, self.dim = inner, inner.dim
 
     def _gaps(self, points):
         return self.inner._gaps(points)
@@ -301,14 +302,8 @@ class Hiding(DomainOracle):
     def enclosing_ball(self):
         return self.inner.enclosing_ball()
 
-    def product_factors(self):
-        return None if self.hook == "product_factors" else self.inner.product_factors()
-
     def slice_region(self, p, q):
-        return None if self.hook == "slice_region" else self.inner.slice_region(p, q)
-
-    def centered_radius(self, z, v):
-        return self.inner.centered_radius(z, v)
+        return self.inner.slice_region(p, q)
 
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
         return self.inner.certify_affine_disc(center, direction, rho, max_cells)
@@ -427,7 +422,7 @@ class TestSearchUpperBound:
         assume(not np.array_equal(z, w) and domain.slice_region(z, w) is None)
         val, _, _, method = search_upper_bound(domain, z, w)
         assume(method == "product")
-        full, _, _, _ = search_upper_bound(Hiding(domain, "product_factors"), z, w)
+        full, _, _, _ = search_upper_bound(HiddenFactors(domain), z, w)
         assert full is None or full >= val
 
 
@@ -621,6 +616,23 @@ class TestSoundnessSandwich:
             assert u_zw <= u_zy + u_yw + 1e-7
 
 
+_METRIC_PRODUCTS = {
+    **_PRODUCTS,
+    "disc-x-sublevel-ball": ProductDomain((unit_disc(), _sublevel_unit_ball())),
+}
+_CLOSED_FORM_PRODUCTS = sorted(_PRODUCTS)
+# products and directions whose blocks differ by hundreds of orders of magnitude
+_HOSTILE_SPEEDS = [
+    ("bidisc", [0.0, 0.3j], [1.0, 2.2e-311j]),
+    ("bidisc", [0.0, 0.3j], [1e-300, 2.2e-311j]),
+    ("bidisc", [0.2, 0.5j], [1e300, 1e-300]),
+    ("bidisc", [0.2, 0.5j], [1e-300, 1e300j]),
+    ("ball-x-disc", [0.1, 0.2j, 0.5], [1e300, -1e300j, 1e-300]),
+    ("ball-x-disc", [0.1, 0.2j, 0.5], [1e-300, 0.0, 1e300j]),
+]
+_HOSTILE_IDS = ["subnormal", "tiny-subnormal", "huge-tiny", "tiny-huge", "ball-huge", "disc-huge"]
+
+
 class TestInfinitesimal:
     def test_disc_center(self):
         est = infinitesimal_bounds(unit_disc(), [0], [1])
@@ -632,12 +644,14 @@ class TestInfinitesimal:
         assert est.lower == pytest.approx(1.0, abs=1e-6)
         assert est.upper == pytest.approx(1.0, abs=1e-6)
 
-    def test_scaling_exact_dyadic(self):
+    @pytest.mark.parametrize("name, z, v", [("bidisc", [0.25, 0.125j], [0.5, 0.25])]
+                             + _HOSTILE_SPEEDS, ids=["bidisc"] + _HOSTILE_IDS)
+    def test_scaling_exact_dyadic(self, name, z, v):
         # x4 is an exact float scaling, so both bounds must quadruple exactly
-        z = np.array([0.25, 0.125j])
-        v = np.array([0.5, 0.25])
-        one = infinitesimal_bounds(unit_bidisc(), z, v)
-        four = infinitesimal_bounds(unit_bidisc(), z, 4 * v)
+        domain = _METRIC_PRODUCTS[name]
+        z, v = np.array(z, dtype=complex), np.array(v, dtype=complex)
+        one = infinitesimal_bounds(domain, z, v)
+        four = infinitesimal_bounds(domain, z, 4 * v)
         assert four.lower == 4 * one.lower
         assert four.upper == 4 * one.upper
 
@@ -686,23 +700,15 @@ class NoSliceBall(Ball):
         return None
 
 
-def _lying_ball(factor):
-    class LyingBall(NoSliceBall):
-        def centered_radius(self, z, v):
-            return factor * Ball.centered_radius(self, z, v)
-
-    return LyingBall(np.zeros(2), 1.0)
-
-
-def _count_certifier_calls(monkeypatch, cls):
+def _asked(monkeypatch, method, *classes):
+    """The instance asked by every call of ``method`` on ``classes``, in order."""
     calls = []
-    original = cls.certify_affine_disc
+    for cls in classes:
+        def recorded(self, *args, _original=getattr(cls, method), **kwargs):
+            calls.append(self)
+            return _original(self, *args, **kwargs)
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(cls, "certify_affine_disc", counted)
+        monkeypatch.setattr(cls, method, recorded)
     return calls
 
 
@@ -722,15 +728,20 @@ def _one_factor_direction(domain, rng, k):
     return v
 
 
-def _off_centre_upper(domain, z, v):
-    """The metric upper of the off-centre disc on the exact slice region of
-    the line through z along v, as ``infinitesimal_bounds`` forms it; None
-    when there is no region or its disc is not certified."""
+def _split(v):
+    """(v / ||v||, ||v||), ||v|| taken after scaling v by a power of two."""
     parts = v.view(float)
     exponent = math.frexp(float(np.max(np.abs(parts))))[1]
     scaled = np.ldexp(parts, -exponent).view(complex)
     norm = float(np.linalg.norm(scaled))
-    unit, speed = scaled / norm, math.ldexp(norm, exponent)
+    return scaled / norm, math.ldexp(norm, exponent)
+
+
+def _off_centre_upper(domain, z, v):
+    """The metric upper of the off-centre disc on the exact slice region of
+    the line through z along v, as ``infinitesimal_bounds`` forms it; None
+    when there is no region or its disc is not certified."""
+    unit, speed = _split(v)
     region = domain.slice_region(z, z + unit)
     if region is None:
         return None
@@ -744,33 +755,27 @@ def _off_centre_upper(domain, z, v):
     return speed * (1.0 / (rc * rho * (1.0 - abs(xi0) ** 2)))
 
 
-class TestCenteredRadiusHint:
+class TestMetricUpper:
+    """A domain that is not a declared product: its slice disc, else the centred search."""
+
     Z = np.array([0.3 + 0.1j, -0.2j])
     V = np.array([0.6, 0.8j])
-    # the bracket that the search without a hint (halving, doubling and
-    # bisection) gives NoSliceBall at (Z, V)
+    # the bracket that the centred search (halving, doubling and bisection)
+    # gives NoSliceBall at (Z, V)
     SEARCH_BITS = ("0x1.14b1715917967p+0", "0x1.27850c58dab14p+0")
 
     @staticmethod
     def _bits(est):
         return float.hex(float(est.lower)), float.hex(float(est.upper))
 
-    @pytest.mark.parametrize("factor", [2.0, 0.5, 0.0, math.nan], ids=["x2", "x0.5", "zero", "nan"])
-    def test_lying_hint_falls_back_to_the_search(self, factor):
-        est = infinitesimal_bounds(_lying_ball(factor), self.Z, self.V)
-        assert self._bits(est) == self.SEARCH_BITS
-
-    def test_honest_hint_only_tightens(self):
+    def test_no_slice_search_unchanged(self):
         est = infinitesimal_bounds(NoSliceBall(np.zeros(2), 1.0), self.Z, self.V)
-        lower, upper = self.SEARCH_BITS
-        assert float.hex(est.lower) == lower
-        assert est.upper < float.fromhex(upper)
-        assert est.upper >= float.fromhex(upper) * (1 - 1e-8)
+        assert self._bits(est) == self.SEARCH_BITS
 
     @pytest.mark.parametrize("domain", _METRIC_DOMAINS, ids=_METRIC_IDS)
     def test_one_call_off_the_slice_centre(self, monkeypatch, domain):
         # the certified off-centre disc is the answer; no radius search runs
-        calls = _count_certifier_calls(monkeypatch, type(domain))
+        calls = _asked(monkeypatch, "certify_affine_disc", Ball, Polydisc)
         rng = np.random.Generator(np.random.Philox(key=23))
         for k in range(10):
             z = 0.6 * domain.sample_point(rng)
@@ -781,62 +786,177 @@ class TestCenteredRadiusHint:
             assert len(calls) == 1
 
     @pytest.mark.parametrize("domain", _METRIC_DOMAINS, ids=_METRIC_IDS)
-    def test_slice_centre_adds_the_two_hinted_calls(self, monkeypatch, domain):
-        # at z = 0 the centred disc is the better one: the off-centre disc,
-        # then the hinted bracket
-        calls = _count_certifier_calls(monkeypatch, type(domain))
+    def test_slice_centre_takes_one_call(self, monkeypatch, domain):
+        # at the centre of the slice region the centred disc is the same
+        # disc up to rounding, so no radius search runs there either: one
+        # call per moving factor
+        calls = _asked(monkeypatch, "certify_affine_disc", Ball, Polydisc)
+        factors = domain.product_factors() or (domain,)
         rng = np.random.Generator(np.random.Philox(key=29))
         for _ in range(5):
             v = rng.normal(size=domain.dim) + 1j * rng.normal(size=domain.dim)
             calls.clear()
             infinitesimal_bounds(domain, np.zeros(domain.dim), v)
-            assert len(calls) == 3
+            assert calls == list(factors)
 
-    @pytest.mark.parametrize("index", range(3), ids=_METRIC_IDS)
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_region_first_upper_is_the_smaller_disc(self, index, data):
-        # bit for bit the smaller of the off-centre disc's upper and the
-        # centred search's, near the centre too, where the centred disc wins
-        domain = _METRIC_DOMAINS[index]
-        scales = np.full(domain.dim, 0.6)
-        scales *= 10.0 ** -data.draw(st.integers(0, 14))
-        z = np.array([data.draw(_UNIT) for _ in range(domain.dim)]) * scales
-        v = np.array([data.draw(_SPEED) for _ in range(domain.dim)])
-        factors = domain.product_factors()
-        if factors is not None and data.draw(st.booleans()):
-            keep = data.draw(st.integers(0, len(factors) - 1))
-            for j, (_, block) in enumerate(factor_slices(factors)):
-                if j != keep:
-                    v[block] = 0
+    def test_ball_upper_is_the_off_centre_disc(self, data):
+        # bit for bit the off-centre disc's upper, near the slice centre too
+        domain = unit_ball(2)
+        scales = np.full(2, 0.6) * 10.0 ** -data.draw(st.integers(0, 14))
+        z = np.array([data.draw(_UNIT) for _ in range(2)]) * scales
+        v = np.array([data.draw(_SPEED) for _ in range(2)])
         assume(np.any(v != 0) and domain.contains(z))
         off_centre = _off_centre_upper(domain, z, v)
         assume(off_centre is not None)
-        self._assert_smaller_disc(domain, z, v, off_centre)
-
-    def test_region_first_upper_with_a_subnormal_speed(self):
-        # the bidisc hint's limit for the second coordinate, 0.7 / 2.2e-311,
-        # overflows to +inf, which leaves the hint unchanged
-        domain = unit_bidisc()
-        z, v = np.array([0.0, 0.3j]), np.array([1.0, 2.2e-311j])
-        self._assert_smaller_disc(domain, z, v, _off_centre_upper(domain, z, v))
-
-    @staticmethod
-    def _assert_smaller_disc(domain, z, v, off_centre):
-        centred = infinitesimal_bounds(Hiding(domain, "slice_region"), z, v)
         est = infinitesimal_bounds(domain, z, v)
-        assert est.upper.hex() == min(off_centre, centred.upper).hex()
+        assert est.upper.hex() == off_centre.hex()
+        assert est.lower.hex() == infinitesimal_bounds(NoSliceBall(np.zeros(2), 1.0), z, v).lower.hex()
+
+    @pytest.mark.parametrize("depth, on_rim", [(1e-9, True), (2e-9, True), (1e-10, False)],
+                             ids=["rim", "rim-edge", "past-the-margin"])
+    def test_rim_keeps_the_smaller_disc(self, monkeypatch, depth, on_rim):
+        # within the working margin of the slice rim the centred search runs
+        # as well, and the smaller upper is kept; past the margin the point
+        # is outside the shrunken slice disc and the centred search alone runs
+        domain = unit_ball(2)
+        z, v = np.array([(1 - depth) * 0.6, (1 - depth) * 0.8j]), np.array([0.8, 0.6j])
+        centred = infinitesimal_bounds(NoSliceBall(np.zeros(2), 1.0), z, v)
+        off_centre = _off_centre_upper(domain, z, v)
+        assert (off_centre is not None) == on_rim
+        calls = _asked(monkeypatch, "certify_affine_disc", Ball)
+        est = infinitesimal_bounds(domain, z, v)
+        assert len(calls) > 1
+        assert est.upper.hex() == min(off_centre or math.inf, centred.upper).hex()
         assert est.lower.hex() == centred.lower.hex()
+        assert est.upper >= exact_oracles.ball_metric(z, v)
 
     def test_sublevel_bracket_unchanged(self):
-        # no hint: the halving, doubling and bisection search, bit for bit
-        domain = SublevelDomain(
-            field=psh.norm_squared(2), level=1.0, ambient=Ball(np.zeros(2), 1.2),
-            seed=np.zeros(2), lipschitz=4.8,
-        )
-        assert domain.centered_radius(self.Z, self.V) is None
-        est = infinitesimal_bounds(domain, self.Z, self.V)
+        # no slice region: the halving, doubling and bisection search, bit for bit
+        est = infinitesimal_bounds(_sublevel_unit_ball(), self.Z, self.V)
         assert self._bits(est) == ("0x1.c1be788fe6e42p-1", "0x1.3295fdbbcb088p+0")
+
+
+def _product_metric_truth(name, z, v):
+    """The 50-digit metric of ``_METRIC_PRODUCTS[name]`` at z along v."""
+    ball, disc = exact_oracles.ball_metric, exact_oracles.polydisc_metric
+    if name == "polydisc-1-0.5":
+        # k of the disc of radius r at z along v is k of the unit disc at z/r along v/r
+        radii = np.array([1.0, 0.5])
+        return exact_oracles.polydisc_metric(z / radii, v / radii)
+    factors = {
+        "bidisc": [(disc, 1), (disc, 1)],
+        "ball-x-disc": [(ball, 2), (disc, 1)],
+        "disc-x-sublevel-ball": [(disc, 1), (ball, 2)],
+    }[name]
+    return exact_oracles.product_metric(factors, z, v)
+
+
+def _product_points(domain, seed, count=12):
+    """Points at most 0.9 of the way to each factor's boundary, and directions;
+    in turn every block of z, then every block of v, is exactly 0."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    blocks = [block for _, block in factor_slices(domain.product_factors())]
+    out = []
+    for i in range(count):
+        z = 0.9 * domain.sample_point(rng)
+        v = rng.normal(size=domain.dim) + 1j * rng.normal(size=domain.dim)
+        k = i % (2 * len(blocks) + 1)
+        if k < len(blocks):
+            z[blocks[k]] = 0
+        elif k < 2 * len(blocks):
+            v[blocks[k - len(blocks)]] = 0
+        out.append((z, v))
+    return out
+
+
+class TestProductMetricUpper:
+    """A declared product's metric upper is the largest of its factors' uppers."""
+
+    @pytest.mark.parametrize("name", sorted(_METRIC_PRODUCTS))
+    def test_upper_from_the_factors(self, name):
+        domain = _METRIC_PRODUCTS[name]
+        for z, v in _product_points(domain, seed=31):
+            est = infinitesimal_bounds(domain, z, v)
+            truth = _product_metric_truth(name, z, v)
+            assert est.upper >= truth
+            if name in _CLOSED_FORM_PRODUCTS:
+                assert est.upper <= truth * (1 + 1e-8)
+            # the lower is the one model's, as before
+            unit, speed = _split(v)
+            assert est.lower.hex() == (speed * metric_lower_bound(domain, z, unit)).hex()
+
+    @pytest.mark.parametrize("name", _CLOSED_FORM_PRODUCTS)
+    def test_one_call_per_moving_factor(self, monkeypatch, name):
+        # each moving factor is asked once for its slice region and once to
+        # certify its disc; a factor whose block of v is zero, and the
+        # product itself, are not asked at all
+        domain = _METRIC_PRODUCTS[name]
+        factors = domain.product_factors()
+        certified = _asked(monkeypatch, "certify_affine_disc", Ball, Polydisc, ProductDomain)
+        sliced = _asked(monkeypatch, "slice_region", Ball, Polydisc, ProductDomain)
+        for z, v in _product_points(domain, seed=37):
+            moving = [f for f, block in factor_slices(factors) if v[block].any()]
+            certified.clear()
+            sliced.clear()
+            infinitesimal_bounds(domain, z, v)
+            assert certified == moving
+            assert sliced == moving
+
+    def test_sublevel_factor_asked_only_when_it_moves(self, monkeypatch):
+        domain = _METRIC_PRODUCTS["disc-x-sublevel-ball"]
+        disc, _ = domain.product_factors()
+        asked = _asked(monkeypatch, "certify_affine_disc", Polydisc, SublevelDomain)
+        z = np.array([0.5j, 0.3, -0.2j])
+        infinitesimal_bounds(domain, z, [0.4, 0.0, 0.0])
+        assert asked == [disc]
+        asked.clear()
+        infinitesimal_bounds(domain, z, [0.0, 0.4, 0.1j])
+        assert disc not in asked and len(asked) > 1
+
+    @pytest.mark.parametrize("name, z, v", _HOSTILE_SPEEDS, ids=_HOSTILE_IDS)
+    def test_hostile_block_speeds(self, name, z, v):
+        # a block far below the others is split into its own unit direction
+        # and speed, so its factor searches at its own scale
+        domain = _METRIC_PRODUCTS[name]
+        z, v = np.array(z, dtype=complex), np.array(v, dtype=complex)
+        est = infinitesimal_bounds(domain, z, v)
+        assert math.isfinite(est.upper) and est.lower <= est.upper
+        assert est.upper >= _product_metric_truth(name, z, v)
+
+
+class TestMetricOracles:
+    """The 50-digit metrics are the limits of the 50-digit distance quotients."""
+
+    T = mpmath.mpf(2) ** -80
+
+    def _quotient(self, distance, z, v):
+        # the distance from z to z + t v over t, with z + t v formed exactly
+        # at 60 digits
+        with mpmath.workdps(60):
+            w = [mpmath.mpc(complex(a)) + self.T * mpmath.mpc(complex(b)) for a, b in zip(z, v)]
+        return distance(z, w) * 2.0**80
+
+    @pytest.mark.parametrize("name", ["ball", "polydisc", "ball-x-disc"])
+    def test_metric_is_the_distance_quotient(self, name):
+        metric, distance, domain = {
+            "ball": (exact_oracles.ball_metric, exact_oracles.ball_distance, unit_ball(3)),
+            "polydisc": (exact_oracles.polydisc_metric, exact_oracles.polydisc_distance,
+                         Polydisc(np.zeros(3), 1.0)),
+            "ball-x-disc": (
+                lambda z, v: exact_oracles.product_metric(
+                    [(exact_oracles.ball_metric, 2), (exact_oracles.polydisc_metric, 1)], z, v),
+                lambda z, w: max(exact_oracles.ball_distance(z[:2], w[:2]),
+                                 exact_oracles.disc_distance(z[2], w[2])),
+                ProductDomain((unit_ball(2), unit_disc())),
+            ),
+        }[name]
+        rng = np.random.Generator(np.random.Philox(key=41))
+        for _ in range(10):
+            z = 0.99 * domain.sample_point(rng)
+            v = rng.normal(size=domain.dim) + 1j * rng.normal(size=domain.dim)
+            assert self._quotient(distance, z, v) == pytest.approx(metric(z, v), rel=1e-15)
 
 
 class TestSliceIdentity:
