@@ -36,11 +36,17 @@ class PointOutsideDomainError(DomainError):
     pass
 
 
+_COMPLEX = np.dtype(complex)
+
+
 def as_point(z, dim: int | None = None) -> np.ndarray:
     """Coerce to a fresh finite complex vector, optionally of prescribed dimension."""
-    arr = np.array(z, dtype=complex, ndmin=1)  # always a copy
-    if arr.ndim != 1:
-        raise DomainError(f"expected a vector, got shape {arr.shape}")
+    if type(z) is np.ndarray and z.dtype is _COMPLEX and z.ndim == 1:
+        arr = z.copy()  # already a complex vector: nothing to parse
+    else:
+        arr = np.array(z, dtype=complex, ndmin=1)  # always a copy
+        if arr.ndim != 1:
+            raise DomainError(f"expected a vector, got shape {arr.shape}")
     # a Python loop over the few coordinates beats numpy's per-call overhead
     if not all(map(cmath.isfinite, arr.tolist())):
         raise DomainError("non-finite coordinate")
@@ -431,25 +437,49 @@ class Ball(DomainOracle):
     def slice_region(self, p, q):
         p = as_point(p, self.dim)
         q = as_point(q, self.dim)
+        if self.dim == 1:
+            return self._line_disc(complex(p[0]), complex(q[0]))
         d = q - p
-        nd2 = float((np.abs(d) ** 2).sum())
+        nd2 = float(np.add.reduce(np.abs(d) ** 2))
         scale = 1.0
         if nd2 < sys.float_info.min and d.any():
             # |d|^2 has lost d's bits: slice along the exact multiple 2^600 d,
             # whose disc is 2^600 times smaller
             scale = 2.0**600
             d = d * scale
-            nd2 = float((np.abs(d) ** 2).sum())
+            nd2 = float(np.add.reduce(np.abs(d) ** 2))
         if nd2 == 0:
             return None
         a = p - self.center
-        s = complex((a * np.conj(d)).sum())
+        s = complex(np.add.reduce(a * np.conj(d)))
         zc = -s / nd2
-        rc2 = (self.radius**2 - float((np.abs(a) ** 2).sum()) + abs(s) ** 2 / nd2) / nd2
+        try:
+            rc2 = (
+                self.radius**2 - float(np.add.reduce(np.abs(a) ** 2)) + abs(s) ** 2 / nd2
+            ) / nd2
+        except OverflowError:  # Python raises where numpy overflows to inf: no disc
+            return None
         if not 0 < rc2 < math.inf:  # empty, or too large for a float disc
             return None
         zc, rc = complex(zc.real * scale, zc.imag * scale), math.sqrt(rc2) * scale
         if not (cmath.isfinite(zc) and rc < math.inf):
+            return None
+        return zc, rc
+
+    def _line_disc(self, p: complex, q: complex) -> tuple[complex, float] | None:
+        """``slice_region`` in dimension 1: D((center - p) / d, radius / |d|), d = q - p.
+
+        Python complex arithmetic, where numpy's would cost more than the
+        formula.  Python raises where numpy overflows, so |d| comes from
+        math.hypot, which overflows to inf, and d = 0 is asked first; every
+        disc with no float center or no positive float radius is None.
+        """
+        d = q - p
+        if d == 0:
+            return None
+        zc = (complex(self.center[0]) - p) / d
+        rc = self.radius / math.hypot(d.real, d.imag)
+        if not (0 < rc < math.inf and cmath.isfinite(zc)):
             return None
         return zc, rc
 
@@ -458,16 +488,27 @@ class Ball(DomainOracle):
             return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=0)
         center = as_point(center, self.dim)
         direction = as_point(direction, self.dim)
-        a = center - self.center
-        s = complex((a * np.conj(direction)).sum())
-        peak2 = (
-            float((np.abs(a) ** 2).sum())
-            + 2.0 * rho * abs(s)
-            + rho**2 * float((np.abs(direction) ** 2).sum())
-        )
-        if math.sqrt(peak2) < self.radius:
-            return CertifyResult(CertStatus.CERTIFIED, rho)
-        witness = rho * (s / abs(s)) if s != 0 else complex(rho)
+        if self.dim == 1:
+            # |a + zeta d| peaks at |a| + rho |d| on |zeta| <= rho, in Python
+            # complex arithmetic; math.hypot overflows to inf where abs raises
+            a, d = complex(center[0]) - complex(self.center[0]), complex(direction[0])
+            if math.hypot(a.real, a.imag) + rho * math.hypot(d.real, d.imag) < self.radius:
+                return CertifyResult(CertStatus.CERTIFIED, rho)
+            s = a * d.conjugate()
+            size = math.hypot(s.real, s.imag)
+        else:
+            a = center - self.center
+            s = complex(np.add.reduce(a * np.conj(direction)))
+            size = abs(s)
+            peak2 = (
+                float(np.add.reduce(np.abs(a) ** 2))
+                + 2.0 * rho * size
+                + rho**2 * float(np.add.reduce(np.abs(direction) ** 2))
+            )
+            if math.sqrt(peak2) < self.radius:
+                return CertifyResult(CertStatus.CERTIFIED, rho)
+        # the parameter on the rim where |a + zeta d| peaks
+        witness = rho * (s / size) if s != 0 else complex(rho)
         return CertifyResult(CertStatus.REJECTED, rho, witness=witness)
 
 
@@ -503,7 +544,7 @@ class Polydisc(DomainOracle):
     def _gaps(self, points):
         # the smallest radius - |offset| is positive exactly when every
         # |offset| < radius
-        gaps = np.min(self.radii - np.abs(points - self.center), axis=1)
+        gaps = np.minimum.reduce(self.radii - np.abs(points - self.center), axis=1)
         gaps[gaps <= 0] = math.nan
         return gaps
 

@@ -91,7 +91,7 @@ class AnalyticDisc:
     def __post_init__(self):
         center = as_point(self.center)
         direction = as_point(self.direction, center.size)
-        if np.all(direction == 0):
+        if not direction.any():
             raise EstimationError("disc direction must be nonzero")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "direction", direction)
@@ -336,8 +336,13 @@ def ball_distance(center, radius: float, z, w) -> float:
     bound must never do.
     """
     center = as_point(center)
-    a = (as_point(z, center.size) - center) / radius
-    b = (as_point(w, center.size) - center) / radius
+    return _ball_distance(center, radius, as_point(z, center.size), as_point(w, center.size))
+
+
+def _ball_distance(center: np.ndarray, radius: float, z: np.ndarray, w: np.ndarray) -> float:
+    """``ball_distance`` of points already validated to the center's dimension."""
+    a = (z - center) / radius
+    b = (w - center) / radius
     if center.size == 1:
         try:
             return poincare_distance(a[0], b[0])
@@ -346,15 +351,17 @@ def ball_distance(center, radius: float, z, w) -> float:
     if not a.any():
         m = _norm(b)
     else:
-        na2 = float((np.abs(a) ** 2).sum())
-        ip = complex((b * np.conj(a)).sum())  # <b, a>
+        na2 = float(np.add.reduce(np.abs(a) ** 2))
+        ip = complex(np.add.reduce(b * np.conj(a)))  # <b, a>
         den = abs(1.0 - ip)
         if den == 0.0:
             raise EstimationError("points outside the open ball")
         if na2 < sys.float_info.min:
             # |a|^2 has lost a's bits: project onto the exact multiple 2^600 a
             u = a * 2.0**600
-            parallel = (complex((b * np.conj(u)).sum()) / float((np.abs(u) ** 2).sum())) * u
+            parallel = (
+                complex(np.add.reduce(b * np.conj(u))) / float(np.add.reduce(np.abs(u) ** 2))
+            ) * u
         else:
             parallel = (ip / na2) * a
         orthogonal = b - parallel
@@ -382,18 +389,22 @@ def ball_metric(center, radius: float, z, v) -> float:
     in scalar complex arithmetic, wherever 1 - |a|^2 is positive.
     """
     center = as_point(center)
-    a = (as_point(z, center.size) - center) / radius
-    v = as_point(v, center.size)
+    return _ball_metric(center, radius, as_point(z, center.size), as_point(v, center.size))
+
+
+def _ball_metric(center: np.ndarray, radius: float, z: np.ndarray, v: np.ndarray) -> float:
+    """``ball_metric`` at a point and direction already validated to the center's dimension."""
+    a = (z - center) / radius
     if center.size == 1:
         s = 1.0 - abs(complex(a[0])) ** 2
         if s > 0:
             return abs(complex(v[0])) / radius / s
     u = v / radius
-    s = 1.0 - float((np.abs(a) ** 2).sum())
+    s = 1.0 - float(np.add.reduce(np.abs(a) ** 2))
     if s <= 0:
         raise EstimationError("base point outside the open ball")
-    ip = abs(complex((u * np.conj(a)).sum())) ** 2
-    return math.sqrt(float((np.abs(u) ** 2).sum()) * s + ip) / s
+    ip = abs(complex(np.add.reduce(u * np.conj(a)))) ** 2
+    return math.sqrt(float(np.add.reduce(np.abs(u) ** 2)) * s + ip) / s
 
 
 def lower_bound(domain: DomainOracle, z, w) -> tuple[float, dict]:
@@ -405,14 +416,17 @@ def lower_bound(domain: DomainOracle, z, w) -> tuple[float, dict]:
     dominate the product's own enclosing ball.  Any other domain takes the
     distance of its enclosing ball, into which it maps by inclusion.
     """
-    z = as_point(z, domain.dim)
-    w = as_point(w, domain.dim)
+    return _lower_bound(domain, as_point(z, domain.dim), as_point(w, domain.dim))
+
+
+def _lower_bound(domain: DomainOracle, z: np.ndarray, w: np.ndarray) -> tuple[float, dict]:
+    """``lower_bound`` of points already validated to the domain's dimension."""
     best = 0.0
     cert: dict = {"kind": "trivial"}
     factors = domain.product_factors()
     if factors is None:
         center, radius = domain.enclosing_ball()
-        val = ball_distance(center, radius, z, w)
+        val = _ball_distance(center, radius, z, w)
         if val > best:
             best = val
             cert = {
@@ -422,7 +436,7 @@ def lower_bound(domain: DomainOracle, z, w) -> tuple[float, dict]:
             }
         return best, cert
     for j, (f, block) in enumerate(factor_slices(factors)):
-        val, sub = lower_bound(f, z[block], w[block])
+        val, sub = _lower_bound(f, z[block], w[block])
         if val > best:
             best = val
             cert = {"kind": "factor-projection", "index": j, "inner": sub}
@@ -434,17 +448,20 @@ def metric_lower_bound(domain: DomainOracle, z, v) -> float:
 
     A factor whose block of v is zero adds nothing, so v = 0 gives 0.
     """
-    z = as_point(z, domain.dim)
-    v = as_point(v, domain.dim)
+    return _metric_lower_bound(domain, as_point(z, domain.dim), as_point(v, domain.dim))
+
+
+def _metric_lower_bound(domain: DomainOracle, z: np.ndarray, v: np.ndarray) -> float:
+    """``metric_lower_bound`` at a point and direction already validated."""
     factors = domain.product_factors()
     if factors is None:
         center, radius = domain.enclosing_ball()
-        return ball_metric(center, radius, z, v)
+        return _ball_metric(center, radius, z, v)
     return max(
         (
-            metric_lower_bound(f, z[block], v[block])
+            _metric_lower_bound(f, z[block], v[block])
             for f, block in factor_slices(factors)
-            if np.any(v[block] != 0)
+            if v[block].any()
         ),
         default=0.0,
     )
@@ -663,14 +680,29 @@ def search_upper_bound(
     only when there is no product bound, i.e. when some factor found no
     upper.
     """
-    z = as_point(z, domain.dim)
-    w = as_point(w, domain.dim)
+    return _search_upper_bound(
+        domain, as_point(z, domain.dim), as_point(w, domain.dim), budget, margin
+    )
+
+
+def _same_point(z: np.ndarray, w: np.ndarray) -> bool:
+    """Whether two validated points are equal; a Python comparison of the few
+    coordinates beats numpy's per-call overhead."""
+    return z.tolist() == w.tolist()
+
+
+def _search_upper_bound(
+    domain: DomainOracle, z: np.ndarray, w: np.ndarray, budget: int, margin: float
+) -> tuple[float | None, object, int, str]:
+    """``search_upper_bound`` of points already validated to the domain's dimension."""
     oracle = CountingOracle(domain, budget)
-    if (z == w).all():
+    if _same_point(z, w):
         return 0.0, {"kind": "same-point"}, 0, "identity"
     if oracle.remaining() <= 0:
         return None, None, 0, "exhausted"
 
+    # a candidate's certificate is None for the product bound, whose dict
+    # is built only if it wins
     candidates: list[tuple[float, object, str]] = []
 
     # declared product structure: distances combine by max over factors
@@ -681,11 +713,11 @@ def search_upper_bound(
         per, used_all = [], True
         for f, block in factor_slices(factors):
             zb, wb = z[block], w[block]
-            if (zb == wb).all():
+            if _same_point(zb, wb):
                 per.append((0.0, None))
                 continue
-            sub_val, sub_cert, sub_used, _ = search_upper_bound(
-                f, zb, wb, budget=oracle.remaining(), margin=margin
+            sub_val, sub_cert, sub_used, _ = _search_upper_bound(
+                f, zb, wb, oracle.remaining(), margin
             )
             oracle.used += sub_used
             if sub_val is None:
@@ -693,15 +725,7 @@ def search_upper_bound(
                 break
             per.append((sub_val, sub_cert))
         if used_all and per:
-            val = max(v for v, _ in per)
-            cert = {
-                "kind": "product",
-                "factor_bounds": [v for v, _ in per],
-                "factor_chains": [
-                    c.to_json_list() if isinstance(c, DiscChain) else c for _, c in per
-                ],
-            }
-            candidates.append((val, cert, "product"))
+            candidates.append((max(v for v, _ in per), None, "product"))
 
     # single affine slice through the pair; an exact region needs no working
     # margin beyond float safety, the certifier re-checks it either way.  The
@@ -735,6 +759,12 @@ def search_upper_bound(
     val, cert, method = min(
         candidates, key=lambda t: (t[0], 0 if isinstance(t[1], DiscChain) else 1)
     )
+    if method == "product":
+        cert = {
+            "kind": "product",
+            "factor_bounds": [v for v, _ in per],
+            "factor_chains": [c.to_json_list() if isinstance(c, DiscChain) else c for _, c in per],
+        }
     return val, cert, oracle.used, method
 
 
@@ -756,7 +786,7 @@ def estimate_distance(
     for name, gap in zip("zw", domain._gaps(np.array([z, w]))):
         if math.isnan(gap):
             raise PointOutsideDomainError(f"{name} is not in the domain")
-    if (z == w).all():
+    if _same_point(z, w):
         return DistanceEstimate(
             lower=0.0,
             upper=0.0,
@@ -798,7 +828,8 @@ def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
     when the oracle names it and certifies it; the search for the largest
     certified radius r of the centred disc zeta -> z + zeta r u runs without
     such a region, or when z sits within the working margin of the region's
-    rim, and then the smaller upper is kept.  Lower bound: the closed form
+    rim, and then the smaller upper is kept.  A z past that margin gets the
+    region's disc shrunk by only a quarter of z's gap to the rim instead.  Lower bound: the closed form
     of the declared factors or else of the enclosing ball.  Both sides are
     exactly homogeneous in v, and ||v|| is taken after scaling v by a power
     of two, so no finite nonzero v overflows or underflows it.
@@ -814,7 +845,7 @@ def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
     upper = speed * _unit_upper(domain, z, unit, gap)
     if upper == math.inf:
         raise EstimationError("the metric overflows")
-    lower = speed * metric_lower_bound(domain, z, unit)
+    lower = speed * _metric_lower_bound(domain, z, unit)
     if lower > upper + BRACKET_TOL:
         raise EstimationError("metric soundness violation")
     return MetricEstimate(lower=min(lower, upper), upper=upper)
@@ -866,14 +897,25 @@ def _unit_upper(domain: DomainOracle, z: np.ndarray, unit: np.ndarray, gap: floa
     region = domain.slice_region(z, z + unit)
     if region is not None:
         zc, rc = region
+        shrink = rho
         xi0 = abs(-zc / (rc * rho))
+        if xi0 >= 1.0:
+            # z lies past the disc shrunk by the margin: shrink it only as
+            # far as z allows, keeping a quarter of z's gap to the rim.  With
+            # that gap d = 1 - |zc| / rc, the upper is about 4/3 of the slice
+            # disc's metric at z, and the centred search's at least
+            # (2 - d) / rho times it, so no search runs here.  (Halfway, as
+            # _slice_geometry shrinks a link, gives about 2 (1 - d / 4)
+            # times it, which ties the search's up to rounding.)
+            shrink = 1.0 - 0.25 * (1.0 - abs(zc) / rc)
+            xi0 = abs(-zc / (rc * shrink)) if shrink < 1.0 else 1.0
         if xi0 < 1.0:
             result = domain.certify_affine_disc(
-                z + zc * unit, (rc * rho) * unit, 1.0, max_cells=METRIC_CELLS
+                z + zc * unit, (rc * shrink) * unit, 1.0, max_cells=METRIC_CELLS
             )
             if result.certified:
-                upper = 1.0 / (rc * rho * (1.0 - xi0**2))
-                if xi0 < 0.5 or xi0 * (1.0 - xi0) > 2.0 * (1.0 - rho):
+                upper = 1.0 / (rc * shrink * (1.0 - xi0**2))
+                if shrink > rho or xi0 < 0.5 or xi0 * (1.0 - xi0) > 2.0 * (1.0 - rho):
                     return upper
                 return min(upper, _centered_unit_upper(domain, z, unit, gap, rho))
     return _centered_unit_upper(domain, z, unit, gap, rho)

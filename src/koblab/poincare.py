@@ -85,7 +85,15 @@ def disc_geodesic(z, w, samples: int) -> SampledCurve:
         raise ValueError("need at least 2 samples")
     total = poincare_distance(z, w)
     grid = np.linspace(0.0, total, samples)
-    pts = np.array([geodesic_point(z, w, s) for s in grid])
+    # geodesic_point at every s, with the transport to w and its phase
+    # computed once and mobius_restore inlined
+    u = mobius_transport(z, w)
+    if u == 0:
+        pts = np.full(samples, z)
+    else:
+        phase, z_bar = u / abs(u), z.conjugate()
+        xis = [as_disc_point(math.tanh(s) * phase) for s in grid.tolist()]
+        pts = np.array([(xi + z) / (1.0 + z_bar * xi) for xi in xis])
     pts[0] = z
     pts[-1] = w
     return SampledCurve(grid, pts.reshape(-1, 1))

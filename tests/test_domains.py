@@ -1,7 +1,10 @@
 """Domain oracles: membership, certified distances, disc certificates, specs."""
 
+import cmath
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -134,6 +137,168 @@ class TestBallSliceRegion:
     def test_step_whose_disc_is_no_float(self, step):
         z = np.array([0.3 + 0.2j, -0.1j])
         assert unit_ball(2).slice_region(z, z + np.array([0.0, step])) is None
+
+
+def _reference_slice(ball, p, q):
+    """Ball.slice_region's n-dimensional numpy formula, applied in dimension 1."""
+    p, q = np.array([p]), np.array([q])
+    with np.errstate(all="ignore"):
+        d = q - p
+        nd2 = float((np.abs(d) ** 2).sum())
+        scale = 1.0
+        if nd2 < sys.float_info.min and d.any():
+            scale = 2.0**600
+            d = d * scale
+            nd2 = float((np.abs(d) ** 2).sum())
+        if nd2 == 0:
+            return None
+        a = p - ball.center
+        s = complex((a * np.conj(d)).sum())
+        zc = -s / nd2
+        try:
+            rc2 = (ball.radius**2 - float((np.abs(a) ** 2).sum()) + abs(s) ** 2 / nd2) / nd2
+        except OverflowError:
+            return None
+    if not 0 < rc2 < math.inf:
+        return None
+    zc, rc = complex(zc.real * scale, zc.imag * scale), math.sqrt(rc2) * scale
+    if not (cmath.isfinite(zc) and rc < math.inf):
+        return None
+    return zc, rc
+
+
+def _reference_certify(ball, center, direction, rho):
+    """Ball.certify_affine_disc's n-dimensional numpy formula in dimension 1:
+    (certified, witness)."""
+    with np.errstate(all="ignore"):
+        a = np.array([center]) - ball.center
+        d = np.array([direction])
+        s = complex((a * np.conj(d)).sum())
+        size = abs(s)
+        peak2 = (
+            float((np.abs(a) ** 2).sum()) + 2.0 * rho * size + rho**2 * float((np.abs(d) ** 2).sum())
+        )
+    if math.sqrt(peak2) < ball.radius:
+        return True, None
+    return False, rho * (s / size) if s != 0 else complex(rho)
+
+
+_EPS = sys.float_info.epsilon
+_LINE_BALLS = [Ball(np.zeros(1), 1.0), Ball(np.array([-0.2 + 0.5j]), 1.3)]
+
+
+def _rim_point(data, ball):
+    """A point of the ball at 1 - |z - c| / r from 1e-12 to 1, and a step from
+    it of length 1e-14 to 1."""
+    depth = 10.0 ** data.draw(st.floats(-12.0, 0.0))
+    step = 10.0 ** data.draw(st.floats(-14.0, 0.0))
+    phase = cmath.exp(1j * data.draw(st.floats(0.0, 2 * math.pi)))
+    turn = cmath.exp(1j * data.draw(st.floats(0.0, 2 * math.pi)))
+    z = complex(ball.center[0]) + ball.radius * (1.0 - depth) * phase
+    return z, step * turn
+
+
+class TestScalarBall:
+    """A one-dimensional Ball answers in Python complex arithmetic.
+
+    The n-dimensional formula cancels r^2 - |a|^2 against |s|^2 / |d|^2, so
+    near the rim it sits up to about 6.4 ulps off the exact disc, while the
+    scalar D((c - p) / d, r / |d|) stays within 1.5.  So the cross-check
+    against the numpy formula allows 8 eps of the radius, and the check
+    against the 50-digit disc allows 2.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), ball=st.sampled_from(_LINE_BALLS))
+    def test_slice_region_matches_the_numpy_formula(self, data, ball):
+        p, step = _rim_point(data, ball)
+        q = p + step
+        got, ref = ball.slice_region([p], [q]), _reference_slice(ball, p, q)
+        assert (got is None) == (ref is None)
+        if got is None:
+            return
+        (zc, rc), (zc_ref, rc_ref) = got, ref
+        assert abs(rc - rc_ref) <= 8 * _EPS * rc_ref
+        assert abs(zc - zc_ref) <= 8 * _EPS * rc_ref
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        d = mp.mpc(q) - mp.mpc(p)
+        exact_rc = mp.mpf(ball.radius) / abs(d)
+        assert abs(rc - exact_rc) <= 2 * _EPS * exact_rc
+        assert abs(zc - (mp.mpc(complex(ball.center[0])) - mp.mpc(p)) / d) <= 2 * _EPS * exact_rc
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), ball=st.sampled_from(_LINE_BALLS))
+    def test_certify_matches_the_numpy_formula(self, data, ball):
+        center, direction = _rim_point(data, ball)
+        offset = abs(center - complex(ball.center[0]))
+        # rho near the one where |a| + rho |d| meets the radius, or anywhere
+        rho = data.draw(st.one_of(
+            st.integers(-8, 8).map(
+                lambda k: (ball.radius - offset) / abs(direction) * (1.0 + k * _EPS)
+            ),
+            st.floats(1e-6, 1.0),
+        ))
+        assume(0 < rho < math.inf)
+        got = ball.certify_affine_disc([center], [direction], rho)
+        certified, witness = _reference_certify(ball, center, direction, rho)
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        peak = abs(mp.mpc(center) - mp.mpc(complex(ball.center[0]))) + mp.mpf(rho) * abs(
+            mp.mpc(direction)
+        )
+        if abs(peak - ball.radius) > 4 * math.ulp(ball.radius):
+            assert got.certified == certified
+        if got.rejected and not certified:
+            assert abs(got.witness - witness) <= 8 * _EPS * rho
+
+    @pytest.mark.parametrize("p, q", [
+        ([-1.7e308], [1.7e308]),  # the step overflows
+        ([0.1], [1.7e308 + 1.7e308j]),  # |step| overflows
+        ([0.3], [0.3 + 5e-324]),
+        ([0.3j], [0.3j + 1e-310j]),
+        ([0.999], [0.999 + 5e-324j]),
+    ], ids=["overflowing-step", "overflowing-length", "min-subnormal", "subnormal", "rim-subnormal"])
+    def test_slice_without_a_float_disc(self, p, q):
+        # None, as the numpy formula answers, where Python arithmetic raises
+        ball = Ball(np.zeros(1), 1.0)
+        assert ball.slice_region(p, q) is None
+        assert _reference_slice(ball, p[0], q[0]) is None
+
+    def test_slice_with_a_tiny_step_at_the_center(self):
+        # |step|^2 underflows, where the numpy formula rescales the step
+        ball = Ball(np.zeros(1), 1.0)
+        zc, rc = ball.slice_region([0.0], [1e-300])
+        assert (zc, rc) == (0j, 1.0 / 1e-300)
+        zc_ref, rc_ref = _reference_slice(ball, 0j, 1e-300 + 0j)
+        assert zc_ref == 0 and abs(rc - rc_ref) <= 8 * _EPS * rc_ref
+
+    @pytest.mark.parametrize("center, direction, rho, status", [
+        (0.1, 1.7e308 + 1.7e308j, 0.99, CertStatus.REJECTED),  # |direction| overflows
+        (0.3, 5e-324, 1.0, CertStatus.CERTIFIED),
+        (0.999, 1e-310j, 1.0, CertStatus.CERTIFIED),
+        (1.0, 5e-324, 1.0, CertStatus.REJECTED),
+        (-1.7e308, 1.7e308, 1.0, CertStatus.REJECTED),  # |a| |d| overflows
+    ], ids=["overflowing-direction", "min-subnormal", "subnormal", "on-the-rim", "far-outside"])
+    def test_certify_hostile_discs(self, center, direction, rho, status):
+        # the numpy formula's verdict and witness, where Python arithmetic raises
+        ball = Ball(np.zeros(1), 1.0)
+        res = ball.certify_affine_disc([center], [direction], rho)
+        assert res.status is status
+        certified, witness = _reference_certify(ball, center, direction, rho)
+        assert res.certified == certified
+        if certified:
+            return
+        if cmath.isfinite(witness):
+            assert abs(res.witness - witness) <= 8 * _EPS * rho
+        else:  # the phase of an overflowing |a| |d| is lost in numpy too
+            assert not cmath.isfinite(res.witness)
+
+    def test_n_dimensional_slice_without_a_float_disc(self):
+        # |s|^2 overflows in Python arithmetic: no disc, as for every other
+        # step too long for a float disc
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert unit_ball(2).slice_region([0.1, 0.0], [1.7e308 + 1.7e308j, 0.0]) is None
 
 
 class TestSliceEmbed:
@@ -391,6 +556,18 @@ class TestAsPoint:
         assert not np.shares_memory(point, source)
         point[0] = 7.0
         assert source[0] == 0.5 + 0.5j
+
+    @pytest.mark.parametrize("source", [
+        np.array([0.5 + 0.5j, -0.25, 0.0, 1j])[::2],  # a strided view
+        np.array([0.5 + 0.5j, 0.0], dtype=">c16"),  # non-native byte order
+        np.array([0.5, 0.0]),  # real
+    ], ids=["view", "big-endian", "real"])
+    def test_fresh_native_complex_copy(self, source):
+        point = as_point(source)
+        assert point.dtype == np.dtype(complex) and point.dtype.isnative
+        assert point.flags.c_contiguous and point.flags.writeable
+        assert not np.shares_memory(point, source)
+        assert point.tolist() == source.tolist()
 
     def test_scalar_is_one_vector(self):
         point = as_point(0.5j)

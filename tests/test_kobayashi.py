@@ -6,6 +6,7 @@ at 50 decimal digits in `exact_oracles` (tests/exact_oracles.py), which
 shares no code with koblab.
 """
 
+import cmath
 import math
 import sys
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from koblab import domains as domains_module
 from koblab import psh
 from koblab.cli import emit_plot_data, parse_config, run
 from koblab.domains import (
@@ -616,6 +618,90 @@ class TestSoundnessSandwich:
             assert u_zw <= u_zy + u_yw + 1e-7
 
 
+def _rim_coordinate(data):
+    """A point of the unit disc at 1 - |z| from 1e-12 to 1, a point 1e-14 to 1
+    from it, and a direction."""
+    depth = 10.0 ** data.draw(st.floats(-12.0, 0.0))
+    step = 10.0 ** data.draw(st.floats(-14.0, 0.0))
+    angles = [data.draw(st.floats(0.0, 2 * math.pi)) for _ in range(3)]
+    z = (1.0 - depth) * cmath.exp(1j * angles[0])
+    w = z + step * cmath.exp(1j * angles[1])
+    return z, w, cmath.exp(1j * angles[2]) * data.draw(st.floats(1e-3, 1e3))
+
+
+class TestScalarBallUppers:
+    """Uppers through one-dimensional Balls, which answer in Python arithmetic,
+    are never below the 50-digit truth, with no tolerance."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_disc(self, data):
+        z, w, v = _rim_coordinate(data)
+        assume(abs(w) < 1.0)
+        disc = Ball(np.zeros(1), 1.0)
+        est = estimate_distance(disc, [z], [w])
+        assert est.upper is None or est.upper >= oracle_disc(z, w)
+        metric = infinitesimal_bounds(disc, [z], [v])
+        assert metric.upper >= exact_oracles.polydisc_metric([z], [v])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bidisc(self, data):
+        (z1, w1, v1), (z2, w2, v2) = _rim_coordinate(data), _rim_coordinate(data)
+        assume(abs(w1) < 1.0 and abs(w2) < 1.0)
+        z, w, v = np.array([z1, z2]), np.array([w1, w2]), np.array([v1, v2])
+        est = estimate_distance(unit_bidisc(), z, w)
+        assert est.upper is None or est.upper >= oracle_polydisc(z, w)
+        metric = infinitesimal_bounds(unit_bidisc(), z, v)
+        assert metric.upper >= exact_oracles.polydisc_metric(z, v)
+
+
+def _count_as_point(monkeypatch):
+    """A list that gets one entry per as_point call, in every koblab module
+    that imports it."""
+    calls = []
+    original = domains_module.as_point
+
+    def counted(z, dim=None):
+        calls.append(1)
+        return original(z, dim)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "koblab" and getattr(module, "as_point", None) is original:
+            monkeypatch.setattr(module, "as_point", counted)
+    return calls
+
+
+class TestValidateOnce:
+    """Public entry points validate each point once; factors get the arrays."""
+
+    def test_bidisc_distance(self, monkeypatch):
+        # estimate_distance, lower_bound and search_upper_bound take z and w
+        # (6); each factor's slice region, disc and certificate (12); the
+        # product's slice region, disc and certificate (6)
+        calls = _count_as_point(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=31))
+        domain = unit_bidisc()
+        for _ in range(20):
+            z, w = 0.9 * domain.sample_point(rng), 0.9 * domain.sample_point(rng)
+            calls.clear()
+            estimate_distance(domain, z, w)
+            assert len(calls) <= 24
+
+    def test_bidisc_metric(self, monkeypatch):
+        # infinitesimal_bounds takes z and v (2); each factor's slice region
+        # and certificate (8)
+        calls = _count_as_point(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=37))
+        domain = unit_bidisc()
+        for _ in range(20):
+            z = 0.9 * domain.sample_point(rng)
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            calls.clear()
+            infinitesimal_bounds(domain, z, v)
+            assert len(calls) <= 10
+
+
 _METRIC_PRODUCTS = {
     **_PRODUCTS,
     "disc-x-sublevel-ball": ProductDomain((unit_disc(), _sublevel_unit_ball())),
@@ -819,7 +905,9 @@ class TestMetricUpper:
     def test_rim_keeps_the_smaller_disc(self, monkeypatch, depth, on_rim):
         # within the working margin of the slice rim the centred search runs
         # as well, and the smaller upper is kept; past the margin the point
-        # is outside the shrunken slice disc and the centred search alone runs
+        # is outside the shrunken slice disc, so the disc shrinks by only a
+        # quarter of the point's gap to the rim, and that one call beats the
+        # centred search
         domain = unit_ball(2)
         z, v = np.array([(1 - depth) * 0.6, (1 - depth) * 0.8j]), np.array([0.8, 0.6j])
         centred = infinitesimal_bounds(NoSliceBall(np.zeros(2), 1.0), z, v)
@@ -827,10 +915,35 @@ class TestMetricUpper:
         assert (off_centre is not None) == on_rim
         calls = _asked(monkeypatch, "certify_affine_disc", Ball)
         est = infinitesimal_bounds(domain, z, v)
-        assert len(calls) > 1
-        assert est.upper.hex() == min(off_centre or math.inf, centred.upper).hex()
+        if on_rim:
+            assert len(calls) > 1
+            assert est.upper.hex() == min(off_centre, centred.upper).hex()
+        else:
+            assert len(calls) == 1
+            assert est.upper < centred.upper
         assert est.lower.hex() == centred.lower.hex()
         assert est.upper >= exact_oracles.ball_metric(z, v)
+
+    def test_rim_points_take_one_disc(self, monkeypatch):
+        # at 1 - |z| = 1e-10 the slice disc shrunk by the margin misses z on
+        # most lines; shrunk only as far as z allows, it answers in one call
+        # and beats the centred search, which takes about 30
+        domain, searched = unit_ball(2), NoSliceBall(np.zeros(2), 1.0)
+        rng = np.random.Generator(np.random.Philox(key=5))
+        points = []
+        for _ in range(50):
+            x, y = rng.normal(size=4), rng.normal(size=4)
+            z = (1 - 1e-10) * (x[:2] + 1j * x[2:]) / np.linalg.norm(x)
+            points.append((z, y[:2] + 1j * y[2:]))
+        centred = [infinitesimal_bounds(searched, z, v).upper for z, v in points]
+        calls = _asked(monkeypatch, "certify_affine_disc", Ball)
+        cheap = 0
+        for (z, v), centred_upper in zip(points, centred):
+            calls.clear()
+            est = infinitesimal_bounds(domain, z, v)
+            cheap += len(calls) <= 2
+            assert exact_oracles.ball_metric(z, v) <= est.upper <= centred_upper
+        assert cheap >= 45
 
     def test_sublevel_bracket_unchanged(self):
         # no slice region: the halving, doubling and bisection search, bit for bit

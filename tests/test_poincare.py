@@ -7,12 +7,13 @@ m the Mobius quotient, evaluated at 50 decimal digits in `exact_oracles`
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from koblab.poincare import (
     DiscPointError,
     disc_geodesic,
+    geodesic_point,
     mobius_restore,
     mobius_transport,
     poincare_distance,
@@ -136,3 +137,15 @@ class TestDiscGeodesic:
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):
             disc_geodesic(0, 0.5, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(z=disc_points(0.999), w=disc_points(0.999), samples=st.integers(2, 40))
+    def test_samples_are_geodesic_points(self, z, w, samples):
+        # every interior sample is geodesic_point's, bit for bit
+        assume(abs(z - w) > 1e-12)  # closer, the sample grid may not increase
+        curve = disc_geodesic(z, w, samples)
+        got = curve.points[1:-1, 0].tolist()
+        expected = [geodesic_point(z, w, s) for s in curve.params[1:-1].tolist()]
+        assert [(p.real.hex(), p.imag.hex()) for p in got] == [
+            (p.real.hex(), p.imag.hex()) for p in expected
+        ]
