@@ -124,8 +124,9 @@ class DomainOracle(ABC):
     """Uniform interface for bounded domains in C^n.
 
     A new oracle defines ``_gaps`` and ``enclosing_ball``.  Membership, the
-    boundary distance, the generic disc certifier and sampling all ask
-    ``_gaps``; the optional hooks below let estimators use exact geometry.
+    boundary distance, the generic disc certifier, the radial covering of
+    ``certified_radius`` and sampling all ask ``_gaps``; the optional hooks
+    below let estimators use exact geometry.
     """
 
     dim: int
@@ -203,6 +204,18 @@ class DomainOracle(ABC):
             self.certify_affine_disc(c, d, rho, max_cells=max_cells)
             for c, d in zip(centers, directions)
         ]
+
+    def certified_radius(self, center, direction, max_cells: int) -> float:
+        """The largest r it certifies with {center + zeta * direction : |zeta| <= r} inside.
+
+        At most ``max_cells`` metered calls; 0.0 when no disc certifies.
+        This default runs one radial covering (``_radial_radius``) over
+        ``_gaps``; an oracle with a one-call closed-form certificate may
+        bisect it instead.
+        """
+        center = as_point(center, self.dim)
+        direction = as_point(direction, self.dim)
+        return _radial_radius(self._gaps, center, direction, self.enclosing_ball(), max_cells)
 
     def sample_point(self, rng: np.random.Generator) -> np.ndarray:
         """Rejection-sample a point of the domain from its enclosing ball."""
@@ -410,6 +423,151 @@ def _covering(dim: int, center, direction, rho: float, max_cells: int, replay=()
             cells = (parents[:, None] + half * _QUADRANTS).ravel()
 
 
+# certified_radius reports this share of the radius it finds: the bisection
+# certifies each disc on this parameter radius, and the radial covering keeps
+# the same working margin
+RADIUS_RHO = 1.0 - 1e-9
+# the bisection stops at this relative width or after this many steps, and
+# the radial covering once its frontier is this close to its cap
+RADIUS_TOL = 1e-8
+RADIUS_BISECTIONS = 64
+# each round of the radial covering splits the uncovered leaves whose inner
+# distance is within this factor of the frontier
+RADIAL_BAND = 1.5
+
+
+def _radial_radius(
+    clearances, center: np.ndarray, direction: np.ndarray, enclosing, max_cells: int
+) -> float:
+    """The radial covering: a certified radius r of {center + eta direction : |eta| <= r}.
+
+    ``clearances`` is as for ``_cover_certify``; the points come validated.
+    The quadtree lives in the eta-plane.  Its root square, centred at 0,
+    has half-width H = (|center - c| + R) / |direction| for the enclosing
+    ball B(c, R), so every point of the line outside it lies outside the
+    domain.  The root's probe is the center itself: NaN gives 0.0, and its
+    clearance g certifies the disc of radius g / |direction| at once, so a
+    leaf's inner distance counts from there.  A leaf is covered when the
+    clearance at its center, divided by |direction|, is at least its
+    half-diagonal; a probe outside caps r at its modulus, as H does.  Each
+    round splits the uncovered leaves whose inner distance is within
+    RADIAL_BAND of the frontier, the nearest one's, and probes their
+    children in one ``clearances`` batch, nearest first, dropping those
+    already inside the first disc or beyond the cap.  The answer is
+    RADIUS_RHO times the smaller of the frontier and the cap.
+
+    The meter charges as ``_covering`` does: two calls per probe inside,
+    one per probe outside.  A round probes only what the calls left can pay
+    for at two calls a probe; the covering stops when nothing is left,
+    when no leaf is uncovered, or when the frontier is within RADIUS_TOL
+    of the cap.
+    """
+    speed = float(np.linalg.norm(direction))
+    if speed == 0.0:
+        raise DomainError("direction must be nonzero")
+    if max_cells < 2:
+        return 0.0
+    gap = _first(clearances(center[None]))
+    if gap is None:
+        return 0.0
+    calls = 2
+    first = gap / speed
+    enclosing_center, enclosing_radius = enclosing
+    cap = (float(np.linalg.norm(center - enclosing_center)) + enclosing_radius) / speed
+    # the uncovered leaves: centers, half-widths, inner distances
+    cells, halves, inner = np.zeros(1, dtype=complex), np.array([cap]), np.array([first])
+    while inner.size:
+        frontier = float(inner.min())
+        affordable = (max_cells - calls) // 2
+        if frontier >= cap * (1.0 - RADIUS_TOL) or affordable == 0:
+            break
+        split = inner <= RADIAL_BAND * frontier
+        rest = ~split
+        half = halves[split] * 0.5
+        children = (cells[split, None] + half[:, None] * _QUADRANTS).ravel()
+        half = np.repeat(half, 4)
+        cells, halves, inner = cells[rest], halves[rest], inner[rest]
+        # the part of a child inside the first disc is covered already
+        child_inner = np.maximum(
+            np.hypot(
+                np.maximum(np.abs(children.real) - half, 0.0),
+                np.maximum(np.abs(children.imag) - half, 0.0),
+            ),
+            first,
+        )
+        diagonal = half * math.sqrt(2.0)
+        kept = (np.hypot(children.real, children.imag) + diagonal > first) & (child_inner < cap)
+        children, half, child_inner, diagonal = (
+            children[kept], half[kept], child_inner[kept], diagonal[kept]
+        )
+        if children.size > affordable:  # probe the nearest; the rest wait
+            order = np.argsort(child_inner, kind="stable")
+            children, half, child_inner, diagonal = (
+                children[order], half[order], child_inner[order], diagonal[order]
+            )
+        probes = children[:affordable]
+        gaps = clearances(center + probes[:, None] * direction) if probes.size else np.empty(0)
+        inside = gaps > 0
+        calls += probes.size + int(np.count_nonzero(inside))
+        if not inside.all():
+            outside = probes[~inside]
+            cap = min(cap, float(np.hypot(outside.real, outside.imag).min()))
+        uncovered = np.ones(children.size, dtype=bool)
+        uncovered[: probes.size] = ~(gaps / speed >= diagonal[: probes.size])
+        cells = np.concatenate([cells, children[uncovered]])
+        halves = np.concatenate([halves, half[uncovered]])
+        inner = np.concatenate([inner, child_inner[uncovered]])
+        relevant = inner < cap
+        cells, halves, inner = cells[relevant], halves[relevant], inner[relevant]
+    frontier = float(inner.min()) if inner.size else cap
+    return min(frontier, cap) * RADIUS_RHO
+
+
+def _bisected_radius(domain: "DomainOracle", center, direction, max_cells: int) -> float:
+    """``certified_radius`` by bisection over a one-call closed-form certificate.
+
+    The search halves the radius from the center's clearance until a disc
+    certifies, doubles it until one does not, and bisects between the two
+    to a relative width of RADIUS_TOL, each disc certified on parameter
+    radius RADIUS_RHO.  It gives 0.0 when the halving passes 1e-300 times
+    |direction|, and stops doubling past 8 times the enclosing radius.
+    """
+    center = as_point(center, domain.dim)
+    direction = as_point(direction, domain.dim)
+    speed = float(np.linalg.norm(direction))
+    if speed == 0.0:
+        raise DomainError("direction must be nonzero")
+    gap = _first(domain._gaps(center[None]))
+    if gap is None:
+        return 0.0
+
+    def certified(r: float) -> bool:
+        res = domain.certify_affine_disc(center, r * direction, RADIUS_RHO, max_cells=max_cells)
+        return res.certified
+
+    lo = gap / speed * 0.5
+    while lo > 0 and not certified(lo):
+        lo *= 0.5
+        if lo * speed < 1e-300:
+            return 0.0
+    _, enclosing_radius = domain.enclosing_ball()
+    hi = lo * 2.0
+    while certified(hi):
+        lo = hi
+        hi *= 2.0
+        if lo * speed > 8.0 * enclosing_radius:
+            return lo * RADIUS_RHO
+    for _ in range(RADIUS_BISECTIONS):
+        if hi - lo <= RADIUS_TOL * max(lo, 1e-12):
+            break
+        mid = 0.5 * (lo + hi)
+        if certified(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo * RADIUS_RHO
+
+
 @dataclass(frozen=True)
 class Ball(DomainOracle):
     """Open Euclidean ball B(center, radius)."""
@@ -417,6 +575,10 @@ class Ball(DomainOracle):
     center: np.ndarray
     radius: float
     dim: int = dataclass_field(init=False)
+    # a power of two near the radius or the largest center coordinate when
+    # either exceeds 2^500, where the squares in _row_norms would overflow;
+    # None otherwise
+    _scale: float | None = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         center = as_point(self.center)
@@ -424,15 +586,26 @@ class Ball(DomainOracle):
             raise DomainError("radius must be positive")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "dim", center.size)
+        size = max([self.radius, *map(abs, center.view(float).tolist())])
+        scale = math.ldexp(1.0, math.frexp(size)[1] - 1) if size > 2.0**500 else None
+        object.__setattr__(self, "_scale", scale)
 
     def _gaps(self, points):
         # radius - norm > 0 exactly when norm < radius in IEEE arithmetic
-        gaps = self.radius - _row_norms(points - self.center)
+        if self._scale is None:
+            gaps = self.radius - _row_norms(points - self.center)
+        else:
+            # dividing by a power of two is exact, and so is scaling back
+            scale = self._scale
+            gaps = (self.radius / scale - _row_norms((points - self.center) / scale)) * scale
         gaps[gaps <= 0] = math.nan
         return gaps
 
     def enclosing_ball(self):
         return self.center.copy(), float(self.radius)
+
+    def certified_radius(self, center, direction, max_cells):
+        return _bisected_radius(self, center, direction, max_cells)
 
     def slice_region(self, p, q):
         p = as_point(p, self.dim)
@@ -553,6 +726,9 @@ class Polydisc(DomainOracle):
 
     def product_factors(self):
         return self._factors
+
+    def certified_radius(self, center, direction, max_cells):
+        return _bisected_radius(self, center, direction, max_cells)
 
     def slice_region(self, p, q):
         p = as_point(p, self.dim)
@@ -843,6 +1019,20 @@ class SublevelDomain(DomainOracle):
 
     def enclosing_ball(self):
         return self.ambient.enclosing_ball()
+
+    def certified_radius(self, center, direction, max_cells):
+        """One radial covering against the raw sublevel set, then the walk
+        from the seed to the center: the certified disc is connected and
+        holds the center, so it lies in the seed's component when the
+        center does.  A center that does not walk connected gives 0.0."""
+        center = as_point(center, self.dim)
+        direction = as_point(direction, self.dim)
+        radius = _radial_radius(
+            self._clearances, center, direction, self.enclosing_ball(), max_cells
+        )
+        if radius > 0.0 and not self._connected(center[None])[0]:
+            return 0.0
+        return radius
 
     def certify_affine_disc(self, center, direction, rho, max_cells=4096):
         """One disc's covering, then the walk from the seed to its center.

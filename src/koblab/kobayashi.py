@@ -52,11 +52,9 @@ BRACKET_TOL = 1e-12
 BISECTION_CENTERS = (0.5, 0.5 + 0.3j, 0.5 - 0.3j, 0.25, 0.75)
 PROBE_CELLS = 512
 BALL_CHAIN_DEPTH = 8
-# infinitesimal_bounds: the radius bisection stops at this relative width or
-# after this many steps; each disc certification gets this covering allowance
-METRIC_TOL = 1e-8
-METRIC_BISECTIONS = 64
-METRIC_CELLS = 2048
+# infinitesimal_bounds: the covering allowance of the slice disc's
+# certification, and of the whole search for the largest centred disc
+METRIC_CELLS = 8192
 # slice_identity_check: sampled points per side of the slice hypothesis, and
 # the slack allowed between the two brackets
 HYPOTHESIS_SAMPLES = 32
@@ -825,12 +823,13 @@ def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
     its moving factors' uppers, since the Kobayashi metric of a product is
     the largest of its factors' metrics.  Any other domain takes the disc on
     the region of the complex line through z along u (``slice_region``),
-    when the oracle names it and certifies it; the search for the largest
-    certified radius r of the centred disc zeta -> z + zeta r u runs without
-    such a region, or when z sits within the working margin of the region's
-    rim, and then the smaller upper is kept.  A z past that margin gets the
-    region's disc shrunk by only a quarter of z's gap to the rim instead.  Lower bound: the closed form
-    of the declared factors or else of the enclosing ball.  Both sides are
+    when the oracle names it and certifies it, shrunk by the working margin,
+    or by a quarter of z's gap to the region's rim when z lies within that
+    margin of it.  Without such a disc the upper is 1 / r for the largest
+    radius r the oracle certifies for the centred disc zeta -> z + zeta u
+    (``certified_radius``: one radial covering on a covering oracle, a
+    bisection of the closed form on an exact one).  Lower bound: the closed
+    form of the declared factors or else of the enclosing ball.  Both sides are
     exactly homogeneous in v, and ||v|| is taken after scaling v by a power
     of two, so no finite nonzero v overflows or underflows it.
     """
@@ -838,11 +837,10 @@ def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
     v = as_point(v, domain.dim)
     if not v.any():
         raise EstimationError("direction must be nonzero")
-    gap = float(domain._gaps(z[None])[0])
-    if math.isnan(gap):
+    if math.isnan(float(domain._gaps(z[None])[0])):
         raise PointOutsideDomainError("base point not in the domain")
     unit, speed = _split_direction(v)
-    upper = speed * _unit_upper(domain, z, unit, gap)
+    upper = speed * _unit_upper(domain, z, unit)
     if upper == math.inf:
         raise EstimationError("the metric overflows")
     lower = speed * _metric_lower_bound(domain, z, unit)
@@ -870,13 +868,8 @@ def _split_direction(v: np.ndarray) -> tuple[np.ndarray, float]:
     return scaled / norm, speed
 
 
-def _unit_upper(domain: DomainOracle, z: np.ndarray, unit: np.ndarray, gap: float) -> float:
-    """Upper bound for k(z; unit), for z inside the domain and a unit vector.
-
-    ``gap`` is a certified lower bound on z's distance to the complement,
-    where the centred search starts.  A product's serves its factors: its
-    distance to the complement is the least of theirs.
-    """
+def _unit_upper(domain: DomainOracle, z: np.ndarray, unit: np.ndarray) -> float:
+    """Upper bound for k(z; unit), for z inside the domain and a unit vector."""
     factors = domain.product_factors()
     if factors is not None and len(factors) >= 2:
         # a block of the unit vector is split as v is, so that each factor
@@ -885,77 +878,46 @@ def _unit_upper(domain: DomainOracle, z: np.ndarray, unit: np.ndarray, gap: floa
         for f, block in factor_slices(factors):
             if unit[block].any():
                 sub_unit, sub_speed = _split_direction(unit[block])
-                uppers.append(sub_speed * _unit_upper(f, z[block], sub_unit, gap))
+                uppers.append(sub_speed * _unit_upper(f, z[block], sub_unit))
         return max(uppers)
+    # region of {eta : z + eta unit in domain}; psi(xi) = z + (zc + rc s xi) unit
+    # carries xi0 to z with psi'(xi0) = rc s unit, so
+    # k(z; unit) <= 1 / (rc s (1 - |xi0|^2)).  The disc is shrunk to
+    # s = max(rho, 1 - d / 4), where d = 1 - |zc| / rc is z's gap to the rim:
+    # by the working margin, or by a quarter of that gap when z lies within
+    # the margin of the rim.  Then s^2 - s d - (1 - d)^2 >= d / 2 - 11 d^2 / 16
+    # >= 0 for d <= 8 / 11, so the upper is at most 1 / (rc d), the centred
+    # disc's, and no centred search runs.  Near the region's centre the two
+    # differ only by rounding.
     rho = 1.0 - 1e-9
-    # region of {eta : z + eta unit in domain}; psi(xi) = z + (zc + rc rho xi) unit
-    # carries xi0 to z with psi'(xi0) = rc rho unit, so
-    # k(z; unit) <= 1 / (rc rho (1 - |xi0|^2)).  That is below the centred
-    # disc's 1 / (rc - |zc|) exactly when rho |xi0| (1 - |xi0|) > 1 - rho;
-    # within twice that of the region's rim the centred search still runs.
-    # Near the region's centre the two differ only by rounding.
     region = domain.slice_region(z, z + unit)
     if region is not None:
         zc, rc = region
-        shrink = rho
-        xi0 = abs(-zc / (rc * rho))
-        if xi0 >= 1.0:
-            # z lies past the disc shrunk by the margin: shrink it only as
-            # far as z allows, keeping a quarter of z's gap to the rim.  With
-            # that gap d = 1 - |zc| / rc, the upper is about 4/3 of the slice
-            # disc's metric at z, and the centred search's at least
-            # (2 - d) / rho times it, so no search runs here.  (Halfway, as
-            # _slice_geometry shrinks a link, gives about 2 (1 - d / 4)
-            # times it, which ties the search's up to rounding.)
-            shrink = 1.0 - 0.25 * (1.0 - abs(zc) / rc)
-            xi0 = abs(-zc / (rc * shrink)) if shrink < 1.0 else 1.0
-        if xi0 < 1.0:
+        shrink = max(rho, 1.0 - 0.25 * (1.0 - abs(zc) / rc))
+        xi0 = abs(-zc / (rc * shrink))
+        if xi0 < 1.0 and shrink < 1.0:
             result = domain.certify_affine_disc(
                 z + zc * unit, (rc * shrink) * unit, 1.0, max_cells=METRIC_CELLS
             )
             if result.certified:
-                upper = 1.0 / (rc * shrink * (1.0 - xi0**2))
-                if shrink > rho or xi0 < 0.5 or xi0 * (1.0 - xi0) > 2.0 * (1.0 - rho):
-                    return upper
-                return min(upper, _centered_unit_upper(domain, z, unit, gap, rho))
-    return _centered_unit_upper(domain, z, unit, gap, rho)
+                return 1.0 / (rc * shrink * (1.0 - xi0**2))
+    return _centered_unit_upper(domain, z, unit)
 
 
-def _centered_unit_upper(
-    domain: DomainOracle, z: np.ndarray, unit: np.ndarray, gap: float, rho: float
-) -> float:
-    """1 / (r rho) for the largest certified radius r of zeta -> z + zeta r unit.
+def _centered_unit_upper(domain: DomainOracle, z: np.ndarray, unit: np.ndarray) -> float:
+    """1 / r for the largest radius r the oracle certifies for zeta -> z + zeta unit.
 
-    The disc of radius r is certified on parameter radius rho (against the
-    disc certifier).  The search halves the radius from ``gap`` until a disc
-    certifies, doubles it until one does not, and bisects between the two.
+    ``certified_radius`` finds r within METRIC_CELLS calls: one radial
+    covering on a covering oracle, a bisection on a closed form.
     """
-
-    def certified(r: float) -> bool:
-        res = domain.certify_affine_disc(z, r * unit, rho, max_cells=METRIC_CELLS)
-        return res.certified
-
-    lo = gap * 0.5
-    while lo > 0 and not certified(lo):
-        lo *= 0.5
-        if lo < 1e-300:
-            raise EstimationError("no certified disc at any radius")
+    radius = domain.certified_radius(z, unit, METRIC_CELLS)
+    if not radius > 0.0:
+        raise EstimationError("no certified disc at any radius")
     _, enclosing_radius = domain.enclosing_ball()
-    hi = lo * 2.0
-    while certified(hi):
-        lo = hi
-        hi *= 2.0
-        if lo > 8.0 * enclosing_radius:
-            raise EstimationError("certified radius exceeds the enclosing ball")
-    for _ in range(METRIC_BISECTIONS):
-        if hi - lo <= METRIC_TOL * max(lo, 1e-12):
-            break
-        mid = 0.5 * (lo + hi)
-        if certified(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 1.0 / (lo * rho)
+    # a disc of radius r along a unit vector has diameter 2r
+    if radius > 2.0 * enclosing_radius:
+        raise EstimationError("certified radius exceeds the enclosing ball")
+    return 1.0 / radius
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,10 @@ from koblab.domains import (
     unit_bidisc,
     unit_disc,
 )
-from koblab.kobayashi import cauchy_table, infinitesimal_bounds
+from koblab.kobayashi import METRIC_CELLS, _split_direction, cauchy_table, infinitesimal_bounds
 from koblab.ladder import DyadicLadder
+
+import exact_oracles
 
 
 def norm2(z):
@@ -1001,6 +1003,12 @@ class TestCenteredRadius:
         assert 0 < radius < math.inf
         assert domain.certify_affine_disc(z, radius * (1 - 1e-9) * v, 1.0).certified
         assert domain.certify_affine_disc(z, radius * (1 + 1e-9) * v, 1.0).rejected
+        # a closed form bisects its certificate to within 1e-8 below the
+        # radius; a product, with no bisection of its own, covers its _gaps
+        found = domain.certified_radius(z, v, METRIC_CELLS)
+        assert found <= radius
+        if not isinstance(domain, ProductDomain):
+            assert found >= radius * (1 - 3e-8)
 
 
 class TestGenericCoveringSound:
@@ -1263,11 +1271,14 @@ class TestRememberedCovering:
         assert _result(again) == _result(first)
         assert len(batches) == 1  # 3 with one batch per level and a walk
         batches.clear()
-        metric = infinitesimal_bounds(_generic_search_ball(), [0.3 + 0.1j, -0.2j], [1, 1j])
-        assert (metric.lower.hex(), metric.upper.hex()) == (
-            "0x1.3ebf72d663a31p+0", "0x1.be1f4218266d7p+0"
-        )
-        assert len(batches) <= 110  # 275 with one batch per level and a walk per disc
+        # the metric upper no longer asks certify_affine_disc: one radial
+        # covering and one walk; its upper is at most the 0x1.be1f4218266d7p+0
+        # that 30 bisected coverings gave, and at least the truth
+        z, v = np.array([0.3 + 0.1j, -0.2j]), np.array([1, 1j])
+        metric = infinitesimal_bounds(_generic_search_ball(), z, v)
+        assert metric.lower.hex() == "0x1.3ebf72d663a31p+0"
+        assert exact_oracles.ball_metric(z, v) <= metric.upper <= float.fromhex("0x1.be1f4218266d7p+0")
+        assert len(batches) <= 19  # 110 with 30 bisected coverings
 
     def test_a_remembered_probe_that_raises_changes_nothing(self):
         # the field is NaN on a tiny patch that only the narrow disc's
@@ -1298,3 +1309,172 @@ class TestRememberedCovering:
         assert used.certify_affine_disc([0.3], [0.2], 0.999).certified
         assert used == twin
         assert repr(used) == repr(twin)
+
+
+class TestHugeBall:
+    """A ball past 2^500 measures its offsets in units of a power of two."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_inside_points_of_a_huge_ball(self, dim):
+        ball = Ball(np.zeros(dim), 1e160)
+        z = np.zeros(dim)
+        z[0] = -0.5e160
+        # the suite turns the overflow RuntimeWarning of the squares into an error
+        assert ball.contains(z)
+        assert abs(ball.boundary_distance(z) - 0.5e160) <= 4 * math.ulp(0.5e160)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        center=st.lists(_complex_in(10.0), min_size=2, max_size=2),
+        radius=st.floats(1e-3, 2.0**500),
+        rows=st.lists(st.lists(_complex_in(20.0), min_size=2, max_size=2), min_size=1,
+                      max_size=5),
+    )
+    def test_an_ordinary_ball_keeps_its_bits(self, center, radius, rows):
+        ball = Ball(np.array(center), radius)
+        points = np.array(rows)
+        # the formula before the scale, kept here for reference
+        offsets = points - ball.center
+        re, im = offsets.real, offsets.imag
+        norms = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+        reference = radius - norms
+        reference[reference <= 0] = math.nan
+        assert [g.hex() for g in ball._gaps(points)] == [g.hex() for g in reference]
+
+
+class GapsOnlyBall(DomainOracle):
+    """The unit ball of C^2 through ``_gaps`` and ``enclosing_ball`` alone."""
+
+    dim = 2
+
+    def _gaps(self, points):
+        return unit_ball(2)._gaps(points)
+
+    def enclosing_ball(self):
+        return np.zeros(2, dtype=complex), 1.0
+
+
+def _bisected_upper(domain, z, v):
+    """The metric upper that the centred search gave before the radial
+    covering, kept here for reference: halving from the boundary distance,
+    doubling and bisection to 1e-8, each radius one covering of 2048 calls
+    on parameter radius 1 - 1e-9."""
+    rho = 1.0 - 1e-9
+    unit, speed = _split_direction(v)
+
+    def certified(r):
+        return domain.certify_affine_disc(z, r * unit, rho, max_cells=2048).certified
+
+    lo = domain.boundary_distance(z) * 0.5
+    while not certified(lo):
+        lo *= 0.5
+    hi = lo * 2.0
+    while certified(hi):
+        lo, hi = hi, hi * 2.0
+    while hi - lo > 1e-8 * lo:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if certified(mid) else (lo, mid)
+    return speed * (1.0 / (lo * rho))
+
+
+def _ball_point(data, dim, top):
+    """A point of the ball of radius ``top`` about 0 in C^dim and a direction."""
+    def vector():
+        parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * dim, max_size=2 * dim))
+        return np.array(parts[:dim]) + 1j * np.array(parts[dim:])
+
+    at, v = vector(), vector()
+    assume(np.linalg.norm(at) > 1e-3 and v.any())
+    return data.draw(st.floats(0.0, top)) * at / np.linalg.norm(at), v
+
+
+def _unit_ball_point(rng, dim):
+    """A point of the unit sphere of C^dim."""
+    x = rng.normal(size=2 * dim)
+    x /= np.linalg.norm(x)
+    return x[:dim] + 1j * x[dim:]
+
+
+class TestRadialCovering:
+    """The metric upper of a covering oracle comes from one radial covering."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sound_on_the_sublevel_ball(self, data):
+        z, v = _ball_point(data, 2, 0.999)
+        assert infinitesimal_bounds(_generic_search_ball(), z, v).upper >= exact_oracles.ball_metric(z, v)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_sound_on_the_c3_candidate(self, data):
+        z, v = _ball_point(data, 3, 0.9)
+        domain = CERTIFY_DOMAINS["candidate-c3"]
+        assume(domain.contains(z))
+        assert infinitesimal_bounds(domain, z, v).upper >= exact_oracles.ball_metric(z, v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sound_over_gaps_alone(self, data):
+        # the default certified_radius: one radial covering over _gaps
+        z, v = _ball_point(data, 2, 0.999)
+        assert infinitesimal_bounds(GapsOnlyBall(), z, v).upper >= exact_oracles.ball_metric(z, v)
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 0.9, 0.999])
+    def test_rows_within_the_cap(self, monkeypatch, scale):
+        batches = _count_clearances(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=43))
+        for _ in range(4):
+            z = scale * _unit_ball_point(rng, 2)
+            batches.clear()
+            infinitesimal_bounds(_generic_search_ball(), z, _unit_ball_point(rng, 2))
+            assert sum(batches) <= METRIC_CELLS
+
+    def test_bits_do_not_depend_on_what_was_asked_before(self):
+        center, direction = np.array([0.3, 0.1j]), np.array([0.6, 0.8])
+        fresh = _generic_search_ball().certified_radius(center, direction, METRIC_CELLS)
+        domain = _generic_search_ball()
+        domain.certify_affine_disc(center, 0.2 * direction, 0.999)
+        domain.certified_radius(np.array([-0.2, 0.4]), direction, METRIC_CELLS)
+        domain.certified_radius(center, direction, 64)
+        assert domain.certified_radius(center, direction, METRIC_CELLS).hex() == fresh.hex()
+
+    def test_a_probed_nan_patch_raises(self, monkeypatch):
+        # the field is NaN on a tiny patch around a point the covering probes:
+        # the covering's own error, as a covering that probes there raises
+        center, direction = np.array([0.3, 0.1j]), np.array([0.6, 0.8])
+        batches = []
+        original = SublevelDomain._clearances
+
+        def recorded(self, points):
+            batches.append(points)
+            return original(self, points)
+
+        monkeypatch.setattr(SublevelDomain, "_clearances", recorded)
+        _generic_search_ball().certified_radius(center, direction, METRIC_CELLS)
+        monkeypatch.undo()
+        patch = batches[len(batches) // 2][-1]
+
+        def field(z):
+            return math.nan if np.abs(z - patch).max() < 1e-9 else norm2(z)
+
+        with pytest.raises(DomainError, match="non-finite"):
+            _generic_search_ball(field).certified_radius(center, direction, METRIC_CELLS)
+
+    def test_no_looser_than_the_bisection(self):
+        rng = np.random.Generator(np.random.Philox(key=47))
+        for k in range(10):
+            z = (0.1 * k) * _unit_ball_point(rng, 2)
+            v = _unit_ball_point(rng, 2)
+            domain = _generic_search_ball()
+            assert infinitesimal_bounds(domain, z, v).upper <= _bisected_upper(domain, z, v)
+
+    def test_a_center_off_the_seed_component_gives_zero(self):
+        # {min |z -+ 1.5| < 1/2}: the right disc is in the raw sublevel set,
+        # but not in the seed's component
+        domain = SublevelDomain(
+            field=two_wells(1.5), level=0.5, ambient=Ball(np.zeros(1), 3.0),
+            seed=np.array([-1.5]), lipschitz=1.0,
+        )
+        assert domain.certified_radius(np.array([-1.5]), np.array([1.0]), METRIC_CELLS) > 0.4
+        assert domain.certified_radius(np.array([1.5]), np.array([1.0]), METRIC_CELLS) == 0.0
+        assert domain.certified_radius(np.array([0.0]), np.array([1.0]), METRIC_CELLS) == 0.0

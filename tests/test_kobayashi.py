@@ -902,12 +902,11 @@ class TestMetricUpper:
 
     @pytest.mark.parametrize("depth, on_rim", [(1e-9, True), (2e-9, True), (1e-10, False)],
                              ids=["rim", "rim-edge", "past-the-margin"])
-    def test_rim_keeps_the_smaller_disc(self, monkeypatch, depth, on_rim):
-        # within the working margin of the slice rim the centred search runs
-        # as well, and the smaller upper is kept; past the margin the point
-        # is outside the shrunken slice disc, so the disc shrinks by only a
-        # quarter of the point's gap to the rim, and that one call beats the
-        # centred search
+    def test_rim_takes_one_quarter_gap_disc(self, monkeypatch, depth, on_rim):
+        # within the working margin of the slice rim, and past it, the slice
+        # disc shrinks by only a quarter of the point's gap to the rim; that
+        # one call gives an upper at most both the disc shrunk by the margin
+        # and the centred search
         domain = unit_ball(2)
         z, v = np.array([(1 - depth) * 0.6, (1 - depth) * 0.8j]), np.array([0.8, 0.6j])
         centred = infinitesimal_bounds(NoSliceBall(np.zeros(2), 1.0), z, v)
@@ -915,12 +914,10 @@ class TestMetricUpper:
         assert (off_centre is not None) == on_rim
         calls = _asked(monkeypatch, "certify_affine_disc", Ball)
         est = infinitesimal_bounds(domain, z, v)
+        assert len(calls) == 1
+        assert est.upper <= centred.upper
         if on_rim:
-            assert len(calls) > 1
-            assert est.upper.hex() == min(off_centre, centred.upper).hex()
-        else:
-            assert len(calls) == 1
-            assert est.upper < centred.upper
+            assert est.upper <= off_centre
         assert est.lower.hex() == centred.lower.hex()
         assert est.upper >= exact_oracles.ball_metric(z, v)
 
@@ -945,10 +942,35 @@ class TestMetricUpper:
             assert exact_oracles.ball_metric(z, v) <= est.upper <= centred_upper
         assert cheap >= 45
 
-    def test_sublevel_bracket_unchanged(self):
-        # no slice region: the halving, doubling and bisection search, bit for bit
+    def test_no_certified_disc_is_an_error(self):
+        class Uncertified(NoSliceBall):
+            def certify_affine_disc(self, center, direction, rho, max_cells=4096):
+                return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=0)
+
+        with pytest.raises(EstimationError, match="no certified disc at any radius"):
+            infinitesimal_bounds(Uncertified(np.zeros(2), 1.0), self.Z, self.V)
+
+    def test_a_radius_past_the_enclosing_ball_is_an_error(self):
+        # an oracle whose clearances reach past its own enclosing ball
+        class Boundless(DomainOracle):
+            dim = 1
+
+            def _gaps(self, points):
+                return np.full(len(points), 1e9)
+
+            def enclosing_ball(self):
+                return np.zeros(1, dtype=complex), 1.0
+
+        with pytest.raises(EstimationError, match="certified radius exceeds the enclosing ball"):
+            infinitesimal_bounds(Boundless(), [10.0], [1.0])
+
+    def test_sublevel_bracket_no_looser(self):
+        # no slice region: one radial covering, whose upper is at most the
+        # 0x1.3295fdbbcb088p+0 of the bisected coverings, and at least the truth
         est = infinitesimal_bounds(_sublevel_unit_ball(), self.Z, self.V)
-        assert self._bits(est) == ("0x1.c1be788fe6e42p-1", "0x1.3295fdbbcb088p+0")
+        assert self._bits(est)[0] == "0x1.c1be788fe6e42p-1"
+        assert exact_oracles.ball_metric(self.Z, self.V) <= est.upper
+        assert est.upper <= float.fromhex("0x1.3295fdbbcb088p+0")
 
 
 def _product_metric_truth(name, z, v):
@@ -1019,14 +1041,16 @@ class TestProductMetricUpper:
 
     def test_sublevel_factor_asked_only_when_it_moves(self, monkeypatch):
         domain = _METRIC_PRODUCTS["disc-x-sublevel-ball"]
-        disc, _ = domain.product_factors()
-        asked = _asked(monkeypatch, "certify_affine_disc", Polydisc, SublevelDomain)
+        disc, sublevel = domain.product_factors()
+        certified = _asked(monkeypatch, "certify_affine_disc", Polydisc, SublevelDomain)
+        asked = _asked(monkeypatch, "certified_radius", Polydisc, SublevelDomain)
         z = np.array([0.5j, 0.3, -0.2j])
         infinitesimal_bounds(domain, z, [0.4, 0.0, 0.0])
-        assert asked == [disc]
-        asked.clear()
+        assert certified == [disc] and asked == []
+        certified.clear()
         infinitesimal_bounds(domain, z, [0.0, 0.4, 0.1j])
-        assert disc not in asked and len(asked) > 1
+        # the sublevel factor answers with one radial covering
+        assert asked == [sublevel] and certified == []
 
     @pytest.mark.parametrize("name, z, v", _HOSTILE_SPEEDS, ids=_HOSTILE_IDS)
     def test_hostile_block_speeds(self, name, z, v):
