@@ -810,11 +810,15 @@ class ProductDomain(DomainOracle):
         return [z[block] for _, block in factor_slices(self.factors)]
 
     def _gaps(self, points):
-        # a factor sees only the rows inside the earlier factors
+        # a factor sees only the rows inside the earlier factors: the whole
+        # column block while every row is, the rows inside once one is not
         gaps = np.full(len(points), math.inf)
         for f, block in factor_slices(self.factors):
             inside = gaps > 0
-            gaps[inside] = np.minimum(gaps[inside], f._gaps(points[inside, block]))
+            if inside.all():
+                gaps = np.minimum(gaps, f._gaps(points[:, block]))
+            else:
+                gaps[inside] = np.minimum(gaps[inside], f._gaps(points[inside, block]))
         return gaps
 
     def enclosing_ball(self):

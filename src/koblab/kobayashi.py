@@ -1104,20 +1104,31 @@ def cauchy_table(
     if n != domain.dim:
         raise DimensionMismatchError(f"dimension {n}, expected {domain.dim}")
 
-    points = np.array([slice_embed(ladder.point_complex(nu), n) for nu in range(1, depth + 1)])
+    # the exact scales a(nu) for nu = 1..depth and b(nu) for nu = 1..depth-1,
+    # each read once; every float below rounds the same exact value as the
+    # ladder's own accessors
+    scales = [ladder.a(nu) for nu in range(1, depth + 1)]
+    widths = [ladder.b(nu) for nu in range(1, depth)]
+    a = np.array([float(s) for s in scales])
+    b = np.array([float(w) for w in widths])
+    # the marked points (a(nu), a(nu)^2) and the disc maps
+    # zeta -> (b zeta, b (a(nu+1) + a(nu)) zeta - a(nu) a(nu+1)), zero-padded
+    points = np.zeros((depth, n), dtype=complex)
+    points[:, 0] = a
+    points[:, 1] = [float(s * s) for s in scales]
     outside = np.flatnonzero(np.isnan(domain._gaps(points)))
     if outside.size:
         nu = int(outside[0]) + 1
         raise CauchyMembershipError(nu, f"ladder point nu={nu} not certified inside the domain")
 
-    def ladder_disc(nu: int) -> AnalyticDisc:
-        a0, a1, b0 = float(ladder.a(nu)), float(ladder.a(nu + 1)), float(ladder.b(nu))
-        return AnalyticDisc(
-            center=slice_embed(np.array([0.0, -a0 * a1]), n),
-            direction=slice_embed(np.array([b0, b0 * (a1 + a0)]), n),
-        )
-
-    results = _discs_in_domain([ladder_disc(nu) for nu in range(1, depth)], domain, margin)
+    centers = np.zeros((depth - 1, n), dtype=complex)
+    centers[:, 1] = -a[:-1] * a[1:]
+    directions = np.zeros((depth - 1, n), dtype=complex)
+    directions[:, 0] = b
+    directions[:, 1] = b * (a[1:] + a[:-1])
+    results = _discs_in_domain(
+        [AnalyticDisc(center=c, direction=d) for c, d in zip(centers, directions)], domain, margin
+    )
     rho = 1.0 - margin
     uppers = np.empty(depth - 1)
     for nu, result in zip(range(1, depth), results):
@@ -1125,7 +1136,7 @@ def cauchy_table(
             raise CauchyMembershipError(
                 nu, f"embedded ladder disc nu={nu} not certified ({result.status.value})"
             )
-        zin, zout = ladder.disc_parameters(nu)
+        zin, zout = scales[nu - 1] / widths[nu - 1], scales[nu] / widths[nu - 1]
         uppers[nu - 1] = poincare_distance(float(zin) / rho, float(zout) / rho)
 
     observed = uppers[1:] / uppers[:-1]

@@ -121,7 +121,8 @@ def signature_quadratic(coeffs: Sequence[float]) -> ScalarField:
         evaluate=lambda z: np.sum(c * np.abs(z) ** 2, axis=-1),
         gradient=lambda z: 2.0 * c * z,
         complex_hessian=lambda z: np.diag(c).astype(complex),
-        lipschitz=lambda r: 2.0 * float(np.max(np.abs(c))) * r,
+        # 2 * max|c| is exact; the product with r rounds, so step it up
+        lipschitz=lambda r: math.nextafter(2.0 * float(np.max(np.abs(c))) * r, math.inf),
         name="signature-quadratic",
     )
 
@@ -301,6 +302,15 @@ def lift_quadratic_tail(u: ScalarField, n: int) -> ScalarField:
 
     The added tail contributes the identity block to the complex Hessian, so
     strict plurisubharmonicity of the base field propagates to the lift.
+
+    The lift's Lipschitz bound on B(0, r) adds the blocks' bounds in
+    quadrature.  With z = (z', z''), the gradient of the lift is
+    (grad u(z'), 2 z''), two orthogonal blocks, so
+    |grad f|^2 = |grad u(z')|^2 + 4 |z''|^2.  Both blocks of a point of
+    B(0, r) lie in B(0, r), so |grad u(z')| <= L_u(r) and 2 |z''| <= 2r, and
+    |grad f| <= sqrt(L_u(r)^2 + 4 r^2).  ``math.hypot`` is within 1 ulp of
+    that square root and 2r is exact, so one step up with ``math.nextafter``
+    bounds it.
     """
     if u.dim != 2:
         raise ValueError("base field must live on C^2")
@@ -327,7 +337,8 @@ def lift_quadratic_tail(u: ScalarField, n: int) -> ScalarField:
 
     lipschitz = None
     if u.lipschitz is not None:
-        lipschitz = lambda r: u.lipschitz(r) + 2.0 * r
+        def lipschitz(r):
+            return math.nextafter(math.hypot(u.lipschitz(r), 2.0 * r), math.inf)
 
     return ScalarField(
         dim=n,

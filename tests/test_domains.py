@@ -875,6 +875,33 @@ class TestBatchedGaps:
         assert _row_bits(product._gaps(points)) == [_bits(0.5), None, _bits(1.0)]
         assert recording.seen == [0.1, 0.3j]
 
+    def test_product_gaps_of_a_mixed_batch_are_each_rows_alone(self):
+        # rows outside factor 1, outside factor 2, outside factor 3 and
+        # inside all three; a row outside factor 1 or 2 carries the sentinel
+        # 9 in factor 3's block, and factor 3 refuses to be asked about it
+        class Refusing(Ball):
+            def _gaps(self, points):
+                if (points == 9).any():
+                    raise AssertionError("asked about a row outside an earlier factor")
+                return super()._gaps(points)
+
+        product = ProductDomain(
+            (unit_disc(), Ball(np.zeros(2), 1.0), Refusing(np.zeros(1), 1.0))
+        )
+        points = np.array([
+            [1.5, 0.1, 0.2, 9],
+            [0.3, 0.9, 0.9j, 9],
+            [0.1, 0.1, 0.1, 1.5j],
+            [0.2, 0.1, -0.3j, 0.5],
+            [0.9j, 0.0, 0.0, 0.95],
+        ])
+        alone = [_one_row(product._gaps, z) for z in points]
+        assert alone[:3] == [None, None, None]
+        assert _row_bits(product._gaps(points)) == alone
+        # a batch inside every factor hands each factor its whole block
+        assert _row_bits(product._gaps(points[3:])) == alone[3:]
+        _assert_near_reference(product, points[2:], product._gaps(points[2:]))
+
 
 class UnitDiscFromGaps(DomainOracle):
     """The unit disc, written as a new oracle is: ``_gaps`` and ``enclosing_ball`` only."""

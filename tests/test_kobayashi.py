@@ -57,7 +57,7 @@ from koblab.kobayashi import (
     search_upper_bound,
     slice_identity_check,
 )
-from koblab.ladder import DyadicLadder, chain_term_table
+from koblab.ladder import DyadicLadder, base3_mutated_ladder, chain_term_table
 from koblab.poincare import poincare_distance
 
 import exact_oracles
@@ -119,6 +119,16 @@ def _sublevel_unit_ball():
     return SublevelDomain(
         field=psh.norm_squared(2), level=1.0, ambient=Ball(np.zeros(2), 1.2),
         seed=np.zeros(2), lipschitz=4.8,
+    )
+
+
+def _candidate_c3():
+    # cauchy-demo's candidate domain for the norm2 field: the unit ball of C^3
+    lifted = psh.lift_quadratic_tail(psh.norm_squared(2), 3)
+    return SublevelDomain(
+        field=lifted, level=1.0,
+        ambient=ProductDomain((Ball(np.zeros(2), 3.0), Ball(np.zeros(1), 1.1))),
+        seed=slice_embed(DyadicLadder(1).point_complex(1), 3), lipschitz=lifted.lipschitz(4.1),
     )
 
 
@@ -1149,6 +1159,57 @@ class TestSliceIdentity:
         assert rows == [HYPOTHESIS_SAMPLES, HYPOTHESIS_SAMPLES]
 
 
+# cauchy_table(..., depth=40, margin=1e-3)'s U, T and norm columns, as hex:
+# the same on the unit bidisc and on the C^3 candidate, whose discs certify
+CAUCHY_COLUMNS_40 = {
+    "upper": (
+        "0x1.8b56229ed35a1p-3", "0x1.830aebcb3587dp-4", "0x1.810b4f662c6b8p-5",
+        "0x1.808c8dc41531ap-6", "0x1.806cef7f31cc8p-7", "0x1.8065090f665cfp-8",
+        "0x1.80630f8587273p-9", "0x1.8062912430876p-10", "0x1.8062718becf20p-11",
+        "0x1.806269a5dd2dep-12", "0x1.806267ac594efp-13", "0x1.8062672df8585p-14",
+        "0x1.8062670e601abp-15", "0x1.806267067a0b5p-16", "0x1.8062670480877p-17",
+        "0x1.8062670402269p-18", "0x1.80626703e28e5p-19", "0x1.80626703daa83p-20",
+        "0x1.80626703d8aecp-21", "0x1.80626703d8305p-22", "0x1.80626703d810bp-23",
+        "0x1.80626703d808dp-24", "0x1.80626703d806dp-25", "0x1.80626703d8066p-26",
+        "0x1.80626703d8065p-27", "0x1.80626703d8063p-28", "0x1.80626703d8063p-29",
+        "0x1.80626703d8063p-30", "0x1.80626703d8063p-31", "0x1.80626703d8063p-32",
+        "0x1.80626703d8063p-33", "0x1.80626703d8063p-34", "0x1.80626703d8063p-35",
+        "0x1.80626703d8063p-36", "0x1.80626703d8063p-37", "0x1.80626703d8063p-38",
+        "0x1.80626703d8063p-39", "0x1.80626703d8063p-40", "0x1.80626703d8063p-41",
+    ),
+    "tail": (
+        "0x1.869e85c8acebcp-2", "0x1.81e6e8f2867d9p-3", "0x1.80c2e619d7735p-4",
+        "0x1.807a7ccd827b3p-5", "0x1.80686bd6efc4dp-6", "0x1.8063e82eadbd1p-7",
+        "0x1.8062c74df51d3p-8", "0x1.80627f1663133p-9", "0x1.80626d08959efp-10",
+        "0x1.806268853e4bfp-11", "0x1.806267649f6a0p-12", "0x1.8062671ce5850p-13",
+        "0x1.8062670bd2b1bp-14", "0x1.806267094548dp-15", "0x1.8062670c10866p-16",
+        "0x1.80626713a0855p-17", "0x1.806267233ee43p-18", "0x1.806267429b3a1p-19",
+        "0x1.806267815bcc1p-20", "0x1.806267fedee96p-21", "0x1.806268f9e5a27p-22",
+        "0x1.80626aeff3343p-23", "0x1.80626edc0e5f7p-24", "0x1.806276b444b81p-25",
+        "0x1.80628664b169cp-26", "0x1.8062a5c58acd5p-27", "0x1.8062e4873d947p-28",
+        "0x1.8063620aa322cp-29", "0x1.80645d116e3f6p-30", "0x1.8066531f0478bp-31",
+        "0x1.806a3f3a30eb3p-32", "0x1.8072177089d04p-33", "0x1.8081c7dd3b9a7p-34",
+        "0x1.80a128b69f2ebp-35", "0x1.80dfea6966573p-36", "0x1.815d6dcef4a82p-37",
+        "0x1.8258749a114a2p-38", "0x1.844e82304a8e1p-39", "0x1.883a9d5cbd160p-40",
+    ),
+    "norm": (
+        "0x1.007fe00ff6070p-4", "0x1.0007ffe000fffp-6", "0x1.00007fffe0001p-8",
+        "0x1.000007ffffe00p-10", "0x1.0000007fffffep-12", "0x1.0000000800000p-14",
+        "0x1.0000000080000p-16", "0x1.0000000008000p-18", "0x1.0000000000800p-20",
+        "0x1.0000000000080p-22", "0x1.0000000000008p-24", "0x1.0000000000000p-26",
+        "0x1.0000000000000p-28", "0x1.0000000000000p-30", "0x1.0000000000000p-32",
+        "0x1.0000000000000p-34", "0x1.0000000000000p-36", "0x1.0000000000000p-38",
+        "0x1.0000000000000p-40", "0x1.0000000000000p-42", "0x1.0000000000000p-44",
+        "0x1.0000000000000p-46", "0x1.0000000000000p-48", "0x1.0000000000000p-50",
+        "0x1.0000000000000p-52", "0x1.0000000000000p-54", "0x1.0000000000000p-56",
+        "0x1.0000000000000p-58", "0x1.0000000000000p-60", "0x1.0000000000000p-62",
+        "0x1.0000000000000p-64", "0x1.0000000000000p-66", "0x1.0000000000000p-68",
+        "0x1.0000000000000p-70", "0x1.0000000000000p-72", "0x1.0000000000000p-74",
+        "0x1.0000000000000p-76", "0x1.0000000000000p-78", "0x1.0000000000000p-80",
+    ),
+}
+
+
 class TestCauchyTable:
     def test_sanity_ambient_bidisc(self):
         ladder = DyadicLadder(12)
@@ -1236,6 +1297,29 @@ class TestCauchyTable:
         table = cauchy_table(domain, DyadicLadder(4), n=2, margin=1e-3)
         assert table.rows[0].upper <= 0.19283124040599234 * (1 + 2e-3)
 
+
+    @pytest.mark.parametrize("where", ["bidisc", "c3-candidate"])
+    def test_columns_pinned_at_depth_40(self, where):
+        if where == "bidisc":
+            domain, n = unit_bidisc(), 2
+        else:
+            domain, n = _candidate_c3(), 3
+        table = cauchy_table(domain, DyadicLadder(40), n=n, depth=40, margin=1e-3)
+        for column, expected in CAUCHY_COLUMNS_40.items():
+            assert tuple(getattr(row, column).hex() for row in table.rows) == expected
+
+    @pytest.mark.parametrize("where", ["bidisc", "c3-candidate"])
+    def test_base3_fault_ladder_fails_the_ratio_check(self, where):
+        # every base-3 point and disc certifies; the 2/3 step ratio fails
+        if where == "bidisc":
+            domain, n = unit_bidisc(), 2
+        else:
+            domain, n = _candidate_c3(), 3
+        with pytest.raises(EstimationError) as excinfo:
+            cauchy_table(domain, base3_mutated_ladder(40), n=n, depth=40, margin=1e-3)
+        assert str(excinfo.value) == (
+            "observed step ratio 0.666667 exceeds certificate ratio 0.51"
+        )
 
 class TestGenericCoveringPath:
     """Estimation on a domain with no closed-form hooks at all."""

@@ -1,6 +1,7 @@
 """Levi forms, gradients, strong pseudoconvexity, lifts, candidate suite."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +145,11 @@ class TestStrongPseudoconvexity:
             strong_pseudoconvexity_check(norm_squared(2), [0.5, 0.0], level=1.0)
 
 
+# bases with an analytic Lipschitz bound, and radii from tiny to huge
+LIFT_BASES = {"norm2": norm_squared(2), "quadratic": signature_quadratic([1.0, -1.0])}
+LIPSCHITZ_RADII = (1e-200, 0.1, 0.3, 1.0, 2.9, 3.3, 4.1, 1e150)
+
+
 class TestLift:
     def test_zero_base(self):
         zero = ScalarField(2, lambda z: 0.0)
@@ -172,6 +178,47 @@ class TestLift:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             lift_quadratic_tail(norm_squared(2), 2)
+
+    @pytest.mark.parametrize("base", sorted(LIFT_BASES))
+    @pytest.mark.parametrize("r", LIPSCHITZ_RADII)
+    def test_lipschitz_adds_the_blocks_in_quadrature(self, base, r):
+        u = LIFT_BASES[base]
+        bound = lift_quadratic_tail(u, 3).lipschitz(r)
+        assert bound == math.nextafter(math.hypot(u.lipschitz(r), 2.0 * r), math.inf)
+        # the rounded bound is at least sqrt(L_u(r)^2 + 4 r^2), exactly
+        assert Fraction(bound) ** 2 >= Fraction(u.lipschitz(r)) ** 2 + 4 * Fraction(r) ** 2
+        # both lifts have gradient (2 z_1, +-2 z_2, 2 z_3), so the exact sup
+        # of its norm over B(0, r) is 2r
+        assert bound >= 2.0 * r
+        assert bound < u.lipschitz(r) + 2.0 * r
+
+    @pytest.mark.parametrize("base", sorted(LIFT_BASES))
+    def test_lipschitz_bounds_the_gradient_on_the_sphere(self, base):
+        lifted = lift_quadratic_tail(LIFT_BASES[base], 3)
+        rng = np.random.Generator(np.random.Philox(key=26))
+        for r in (0.5, 4.1):
+            for _ in range(20):
+                z = rng.normal(size=3) + 1j * rng.normal(size=3)
+                z *= r / np.linalg.norm(z)
+                assert np.linalg.norm(lifted.gradient(z)) <= lifted.lipschitz(r)
+
+    def test_lipschitz_none_without_a_base_bound(self):
+        assert exp_norm_squared(2).lipschitz is None
+        assert lift_quadratic_tail(exp_norm_squared(2), 3).lipschitz is None
+
+
+class TestSignatureQuadraticLipschitz:
+    @pytest.mark.parametrize("r", LIPSCHITZ_RADII)
+    @pytest.mark.parametrize("coeffs", [[1.0, -1.0], [3.0, -1.0], [0.2, -0.7]])
+    def test_bound_rounds_up(self, coeffs, r):
+        bound = signature_quadratic(coeffs).lipschitz(r)
+        top = max(abs(c) for c in coeffs)
+        assert bound == math.nextafter(2.0 * top * r, math.inf)
+        assert Fraction(bound) >= 2 * Fraction(top) * Fraction(r)
+
+    def test_plain_product_can_round_down(self):
+        # why the bound steps up: 2.0 * 3.0 * 0.3 rounds below the exact product
+        assert Fraction(2.0 * 3.0 * 0.3) < 2 * 3 * Fraction(0.3)
 
 
 FIELDS = {
