@@ -210,8 +210,7 @@ class DomainOracle(ABC):
 
         At most ``max_cells`` metered calls; 0.0 when no disc certifies.
         This default runs one radial covering (``_radial_radius``) over
-        ``_gaps``; an oracle with a one-call closed-form certificate may
-        bisect it instead.
+        ``_gaps``, closed forms included.
         """
         center = as_point(center, self.dim)
         direction = as_point(direction, self.dim)
@@ -423,14 +422,10 @@ def _covering(dim: int, center, direction, rho: float, max_cells: int, replay=()
             cells = (parents[:, None] + half * _QUADRANTS).ravel()
 
 
-# certified_radius reports this share of the radius it finds: the bisection
-# certifies each disc on this parameter radius, and the radial covering keeps
-# the same working margin
+# certified_radius reports this share of the radius its radial covering finds
 RADIUS_RHO = 1.0 - 1e-9
-# the bisection stops at this relative width or after this many steps, and
-# the radial covering once its frontier is this close to its cap
+# the radial covering stops once its frontier is this close to its cap
 RADIUS_TOL = 1e-8
-RADIUS_BISECTIONS = 64
 # each round of the radial covering splits the uncovered leaves whose inner
 # distance is within this factor of the frontier
 RADIAL_BAND = 1.5
@@ -523,51 +518,6 @@ def _radial_radius(
     return min(frontier, cap) * RADIUS_RHO
 
 
-def _bisected_radius(domain: "DomainOracle", center, direction, max_cells: int) -> float:
-    """``certified_radius`` by bisection over a one-call closed-form certificate.
-
-    The search halves the radius from the center's clearance until a disc
-    certifies, doubles it until one does not, and bisects between the two
-    to a relative width of RADIUS_TOL, each disc certified on parameter
-    radius RADIUS_RHO.  It gives 0.0 when the halving passes 1e-300 times
-    |direction|, and stops doubling past 8 times the enclosing radius.
-    """
-    center = as_point(center, domain.dim)
-    direction = as_point(direction, domain.dim)
-    speed = float(np.linalg.norm(direction))
-    if speed == 0.0:
-        raise DomainError("direction must be nonzero")
-    gap = _first(domain._gaps(center[None]))
-    if gap is None:
-        return 0.0
-
-    def certified(r: float) -> bool:
-        res = domain.certify_affine_disc(center, r * direction, RADIUS_RHO, max_cells=max_cells)
-        return res.certified
-
-    lo = gap / speed * 0.5
-    while lo > 0 and not certified(lo):
-        lo *= 0.5
-        if lo * speed < 1e-300:
-            return 0.0
-    _, enclosing_radius = domain.enclosing_ball()
-    hi = lo * 2.0
-    while certified(hi):
-        lo = hi
-        hi *= 2.0
-        if lo * speed > 8.0 * enclosing_radius:
-            return lo * RADIUS_RHO
-    for _ in range(RADIUS_BISECTIONS):
-        if hi - lo <= RADIUS_TOL * max(lo, 1e-12):
-            break
-        mid = 0.5 * (lo + hi)
-        if certified(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo * RADIUS_RHO
-
-
 @dataclass(frozen=True)
 class Ball(DomainOracle):
     """Open Euclidean ball B(center, radius)."""
@@ -603,9 +553,6 @@ class Ball(DomainOracle):
 
     def enclosing_ball(self):
         return self.center.copy(), float(self.radius)
-
-    def certified_radius(self, center, direction, max_cells):
-        return _bisected_radius(self, center, direction, max_cells)
 
     def slice_region(self, p, q):
         p = as_point(p, self.dim)
@@ -726,9 +673,6 @@ class Polydisc(DomainOracle):
 
     def product_factors(self):
         return self._factors
-
-    def certified_radius(self, center, direction, max_cells):
-        return _bisected_radius(self, center, direction, max_cells)
 
     def slice_region(self, p, q):
         p = as_point(p, self.dim)

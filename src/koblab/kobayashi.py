@@ -827,8 +827,7 @@ def infinitesimal_bounds(domain: DomainOracle, z, v) -> MetricEstimate:
     or by a quarter of z's gap to the region's rim when z lies within that
     margin of it.  Without such a disc the upper is 1 / r for the largest
     radius r the oracle certifies for the centred disc zeta -> z + zeta u
-    (``certified_radius``: one radial covering on a covering oracle, a
-    bisection of the closed form on an exact one).  Lower bound: the closed
+    (``certified_radius``, one radial covering).  Lower bound: the closed
     form of the declared factors or else of the enclosing ball.  Both sides are
     exactly homogeneous in v, and ||v|| is taken after scaling v by a power
     of two, so no finite nonzero v overflows or underflows it.
@@ -907,8 +906,8 @@ def _unit_upper(domain: DomainOracle, z: np.ndarray, unit: np.ndarray) -> float:
 def _centered_unit_upper(domain: DomainOracle, z: np.ndarray, unit: np.ndarray) -> float:
     """1 / r for the largest radius r the oracle certifies for zeta -> z + zeta unit.
 
-    ``certified_radius`` finds r within METRIC_CELLS calls: one radial
-    covering on a covering oracle, a bisection on a closed form.
+    ``certified_radius`` finds r with one radial covering of at most
+    METRIC_CELLS calls.
     """
     radius = domain.certified_radius(z, unit, METRIC_CELLS)
     if not radius > 0.0:

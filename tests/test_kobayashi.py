@@ -579,6 +579,16 @@ class TestNearBoundaryPairs:
         assert est.upper is None or est.upper >= truth
         assert est.lower <= truth
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 2a")
+    def test_known_upper_below_truth(self):
+        # both points about 1e-7 inside the circle: the one-link chain's cost
+        # rounds 3.5e-5 below the truth (upper 16.73935201582781 against
+        # 16.73994031980785); when closed-form costs round up this passes
+        z = complex(float.fromhex("-0x1.380f25c695a3fp-1"), float.fromhex("0x1.95e8fd54d2b72p-1"))
+        w = complex(float.fromhex("0x1.f8b359bb94676p-1"), float.fromhex("-0x1.589647fbce6c6p-3"))
+        est = estimate_distance(unit_disc(), [z], [w], budget=2000)
+        assert est.upper >= oracle_disc(z, w)
+
 
 class TestSoundnessSandwich:
     @pytest.mark.parametrize(
@@ -658,8 +668,10 @@ class TestScalarBallUppers:
     @given(data=st.data())
     def test_bidisc(self, data):
         (z1, w1, v1), (z2, w2, v2) = _rim_coordinate(data), _rim_coordinate(data)
-        assume(abs(w1) < 1.0 and abs(w2) < 1.0)
         z, w, v = np.array([z1, z2]), np.array([w1, w2]), np.array([v1, v2])
+        # numpy's complex abs may round a rim coordinate up to 1 where
+        # Python's rounds it below, and the bidisc then refuses w
+        assume(abs(w1) < 1.0 and abs(w2) < 1.0 and unit_bidisc().contains(w))
         est = estimate_distance(unit_bidisc(), z, w)
         assert est.upper is None or est.upper >= oracle_polydisc(z, w)
         metric = infinitesimal_bounds(unit_bidisc(), z, v)
@@ -856,9 +868,9 @@ class TestMetricUpper:
 
     Z = np.array([0.3 + 0.1j, -0.2j])
     V = np.array([0.6, 0.8j])
-    # the bracket that the centred search (halving, doubling and bisection)
+    # the bracket that the centred search (one radial covering over _gaps)
     # gives NoSliceBall at (Z, V)
-    SEARCH_BITS = ("0x1.14b1715917967p+0", "0x1.27850c58dab14p+0")
+    SEARCH_BITS = ("0x1.14b1715917967p+0", "0x1.279dd0afeab24p+0")
 
     @staticmethod
     def _bits(est):
@@ -867,6 +879,7 @@ class TestMetricUpper:
     def test_no_slice_search_unchanged(self):
         est = infinitesimal_bounds(NoSliceBall(np.zeros(2), 1.0), self.Z, self.V)
         assert self._bits(est) == self.SEARCH_BITS
+        assert est.upper >= exact_oracles.ball_metric(self.Z, self.V)
 
     @pytest.mark.parametrize("domain", _METRIC_DOMAINS, ids=_METRIC_IDS)
     def test_one_call_off_the_slice_centre(self, monkeypatch, domain):
@@ -923,8 +936,9 @@ class TestMetricUpper:
         off_centre = _off_centre_upper(domain, z, v)
         assert (off_centre is not None) == on_rim
         calls = _asked(monkeypatch, "certify_affine_disc", Ball)
+        radius_calls = _asked(monkeypatch, "certified_radius", Ball)
         est = infinitesimal_bounds(domain, z, v)
-        assert len(calls) == 1
+        assert len(calls) == 1 and radius_calls == []
         assert est.upper <= centred.upper
         if on_rim:
             assert est.upper <= off_centre
@@ -934,7 +948,7 @@ class TestMetricUpper:
     def test_rim_points_take_one_disc(self, monkeypatch):
         # at 1 - |z| = 1e-10 the slice disc shrunk by the margin misses z on
         # most lines; shrunk only as far as z allows, it answers in one call
-        # and beats the centred search, which takes about 30
+        # and beats the centred search, one radial covering
         domain, searched = unit_ball(2), NoSliceBall(np.zeros(2), 1.0)
         rng = np.random.Generator(np.random.Philox(key=5))
         points = []
@@ -944,11 +958,13 @@ class TestMetricUpper:
             points.append((z, y[:2] + 1j * y[2:]))
         centred = [infinitesimal_bounds(searched, z, v).upper for z, v in points]
         calls = _asked(monkeypatch, "certify_affine_disc", Ball)
+        radius_calls = _asked(monkeypatch, "certified_radius", Ball)
         cheap = 0
         for (z, v), centred_upper in zip(points, centred):
             calls.clear()
+            radius_calls.clear()
             est = infinitesimal_bounds(domain, z, v)
-            cheap += len(calls) <= 2
+            cheap += len(calls) <= 2 and not radius_calls
             assert exact_oracles.ball_metric(z, v) <= est.upper <= centred_upper
         assert cheap >= 45
 
@@ -956,6 +972,9 @@ class TestMetricUpper:
         class Uncertified(NoSliceBall):
             def certify_affine_disc(self, center, direction, rho, max_cells=4096):
                 return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=0)
+
+            def certified_radius(self, center, direction, max_cells):
+                return 0.0
 
         with pytest.raises(EstimationError, match="no certified disc at any radius"):
             infinitesimal_bounds(Uncertified(np.zeros(2), 1.0), self.Z, self.V)
