@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,10 +20,18 @@ class SampledCurve:
     ``params`` has shape (k,) and ``points`` has shape (k, n); row i is the
     curve point at parameter ``params[i]``.  A single-sample curve is the
     degenerate constant curve on the interval [t0, t0].
+
+    ``chain_samples`` is set only by ``geodesics.build_chain_curve``: the
+    tuple (chain, link, zeta) of the DiscChain the curve samples and, per
+    sample, the index of its link (an int array) and its parameter on that
+    link's disc (a complex array), so sample i is ``chain.links[link[i]]
+    .disc.at(zeta[i])``.  ``shifted`` carries it; the constructor, and
+    ``concatenate`` of two or more curves, leave it None.
     """
 
     params: np.ndarray
     points: np.ndarray
+    chain_samples: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = np.asarray(self.params, dtype=float)
@@ -58,8 +66,10 @@ class SampledCurve:
         return float(self.params[-1] - self.params[0])
 
     def shifted(self, offset: float) -> "SampledCurve":
-        """Same curve with parameters translated by ``offset``."""
-        return SampledCurve(self.params + offset, self.points)
+        """Same curve, and same chain samples, with parameters translated by ``offset``."""
+        out = SampledCurve(self.params + offset, self.points)
+        object.__setattr__(out, "chain_samples", self.chain_samples)
+        return out
 
     def max_point_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.points, axis=1)))

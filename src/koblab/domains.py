@@ -444,12 +444,13 @@ def _radial_radius(
     clearance g certifies the disc of radius g / |direction| at once, so a
     leaf's inner distance counts from there.  A leaf is covered when the
     clearance at its center, divided by |direction|, is at least its
-    half-diagonal; a probe outside caps r at its modulus, as H does.  Each
-    round splits the uncovered leaves whose inner distance is within
-    RADIAL_BAND of the frontier, the nearest one's, and probes their
-    children in one ``clearances`` batch, nearest first, dropping those
-    already inside the first disc or beyond the cap.  The answer is
-    RADIUS_RHO times the smaller of the frontier and the cap.
+    half-diagonal; a probe outside caps r at its modulus, as H does, but
+    never below g / |direction|, since a probe inside the first disc may
+    round onto the rim.  Each round splits the uncovered leaves whose inner
+    distance is within RADIAL_BAND of the frontier, the nearest one's, and
+    probes their children in one ``clearances`` batch, nearest first,
+    dropping those already inside the first disc or beyond the cap.  The
+    answer is RADIUS_RHO times the smaller of the frontier and the cap.
 
     The meter charges as ``_covering`` does: two calls per probe inside,
     one per probe outside.  A round probes only what the calls left can pay
@@ -505,8 +506,10 @@ def _radial_radius(
         inside = gaps > 0
         calls += probes.size + int(np.count_nonzero(inside))
         if not inside.all():
+            # the first disc is certified whatever its points round to: a
+            # probe inside it that rounds onto the rim caps r at first
             outside = probes[~inside]
-            cap = min(cap, float(np.hypot(outside.real, outside.imag).min()))
+            cap = min(cap, max(first, float(np.hypot(outside.real, outside.imag).min())))
         uncovered = np.ones(children.size, dtype=bool)
         uncovered[: probes.size] = ~(gaps / speed >= diagonal[: probes.size])
         cells = np.concatenate([cells, children[uncovered]])

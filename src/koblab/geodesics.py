@@ -32,11 +32,13 @@ from .domains import (
 )
 from .kobayashi import (
     DiscChain,
+    EstimationError,
     chain_upper_bound,
     estimate_distance,
     infinitesimal_bounds,
+    lower_bound,
 )
-from .poincare import disc_geodesic
+from .poincare import DiscPointError, disc_geodesic, poincare_distance
 
 PASS = "pass"
 FAIL = "fail"
@@ -60,17 +62,30 @@ def build_chain_curve(
     Every link is certified on the closed parameter disc first; each then
     contributes the image of the parameter-disc geodesic from its
     in-parameter to its out-parameter, so the total parameter length equals
-    the chain cost.
+    the chain cost.  The curve records the chain in ``chain_samples``, with
+    each sample's link index and disc parameter; a joint sample belongs to
+    the link it ends.  ``check_almost_geodesic`` brackets pairs with it.
     """
     chain_upper_bound(domain, chain, margin=0.0)
     pieces: list[SampledCurve] = []
-    for link in chain.links:
+    links, zetas = [], []
+    for index, link in enumerate(chain.links):
         inner = disc_geodesic(link.zeta_in, link.zeta_out, samples_per_disc)
-        pts = link.disc.center + inner.points[:, 0, None] * link.disc.direction
+        zeta = inner.points[:, 0]
+        pts = link.disc.center + zeta[:, None] * link.disc.direction
         pts[0] = link.start
         pts[-1] = link.end
         pieces.append(SampledCurve(inner.params, pts))
-    return curves_mod.concatenate(pieces)
+        # concatenate drops each later piece's first sample, the joint
+        kept = zeta if index == 0 else zeta[1:]
+        zetas.append(kept)
+        links.append(np.full(kept.size, index))
+    curve = curves_mod.concatenate(pieces)
+    link, zeta = np.concatenate(links), np.concatenate(zetas)
+    link.setflags(write=False)
+    zeta.setflags(write=False)
+    object.__setattr__(curve, "chain_samples", (chain, link, zeta))
+    return curve
 
 
 @dataclass(frozen=True)
@@ -137,6 +152,14 @@ def check_almost_geodesic(
     speed limit: 2 * max|sigma| * h / delta_min, the local Lipschitz
     allowance for the discretized metric along the curve.
 
+    A curve from ``build_chain_curve`` carries its chain.  When that chain
+    certifies in ``domain`` (once per verdict, as ``chain_upper_bound`` at
+    margin 0), a pair is first bracketed by ``lower_bound`` and the float
+    cost of the sub-chain between its two samples (``_chain_costs``); a
+    bracket inside the band is PASS with that cost as its upper, and no
+    search runs.  Every other pair, and every pair of a curve without a
+    certified chain, takes ``estimate_distance``'s bracket at PAIR_BUDGET.
+
     The checks run in a fixed order, sorted index pairs and then sorted
     speed nodes, and a FAIL verdict ends at its first certified violation:
     its checks are the prefix of the full plan up to that one FAIL, and a
@@ -164,14 +187,21 @@ def check_almost_geodesic(
         if i != j:
             index_pairs.add((int(i), int(j)))
 
+    pairs = sorted(index_pairs)
+    costs = _chain_costs(domain, curve, pairs)
     a_checks = []
-    for i, j in sorted(index_pairs):
+    for n, (i, j) in enumerate(pairs):
         s, t = float(curve.params[i]), float(curve.params[j])
+        band_low = max(0.0, abs(s - t) / lam - kappa)
+        band_high = lam * abs(s - t) + kappa
+        if costs is not None and costs[n] <= band_high:
+            low = lower_bound(domain, curve.points[i], curve.points[j])[0]
+            if band_low <= low <= costs[n]:
+                a_checks.append(PairCheck(s, t, low, costs[n], band_low, band_high, PASS))
+                continue
         est = estimate_distance(
             domain, curve.points[i], curve.points[j], budget=PAIR_BUDGET, margin=margin
         )
-        band_low = max(0.0, abs(s - t) / lam - kappa)
-        band_high = lam * abs(s - t) + kappa
         # a FAIL needs the whole bracket certifiably outside the band; the
         # 1e-11 guard keeps float noise from being called a violation
         if est.upper is None:
@@ -218,6 +248,44 @@ def check_almost_geodesic(
             break
 
     return AlmostGeodesicVerdict(lam, kappa, tuple(a_checks), tuple(b_checks), max_delta)
+
+
+def _chain_costs(
+    domain: DomainOracle, curve: SampledCurve, pairs: list[tuple[int, int]]
+) -> list[float] | None:
+    """Float cost of the sub-chain between each pair's samples, or None.
+
+    None when the curve carries no chain or its chain does not certify in
+    ``domain``; then nothing of it is trusted.  Samples i < j on links a <= b
+    cost p(zeta_i, zeta_j) when a = b, and otherwise p(zeta_i, zeta_out) on
+    link a, plus each whole link between, plus p(zeta_in, zeta_j) on link b:
+    the float link costs ``chain_upper_bound`` sums, with the joints between
+    links unpaid as there.  A cost ``poincare_distance`` cannot represent is
+    inf, which brackets nothing.
+    """
+    if curve.chain_samples is None:
+        return None
+    chain, link, zeta = curve.chain_samples
+    try:
+        chain_upper_bound(domain, chain, margin=0.0)
+    except EstimationError:
+        return None
+    links = chain.links
+    costs = []
+    for i, j in pairs:
+        a, b = int(link[i]), int(link[j])
+        try:
+            if a == b:
+                cost = poincare_distance(zeta[i], zeta[j])
+            else:
+                cost = poincare_distance(zeta[i], links[a].zeta_out)
+                for between in links[a + 1 : b]:
+                    cost += poincare_distance(between.zeta_in, between.zeta_out)
+                cost += poincare_distance(links[b].zeta_in, zeta[j])
+        except DiscPointError:
+            cost = math.inf
+        costs.append(cost)
+    return costs
 
 
 @dataclass(frozen=True)

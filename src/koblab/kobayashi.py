@@ -506,16 +506,23 @@ def _slice_link(
 
     The disc is certified against ``domain`` before use (pass the certifying
     domain explicitly: a sub-domain certificate is sound for any superset).
+    The certifier validates the disc's center and direction, so the disc is
+    built from them without ``AnalyticDisc``'s second validation.
     """
     shape = _slice_geometry(zc, rc, margin)
     if shape is None:
         return None
     cost, radius, zeta_in, zeta_out = shape
     d = w - z
-    disc = AnalyticDisc(center=z + zc * d, direction=radius * d)
-    result = domain.certify_affine_disc(disc.center, disc.direction, 1.0, max_cells=max_cells)
+    center, direction = z + zc * d, radius * d
+    if not direction.any():
+        raise EstimationError("disc direction must be nonzero")
+    result = domain.certify_affine_disc(center, direction, 1.0, max_cells=max_cells)
     if not result.certified:
         return None
+    disc = object.__new__(AnalyticDisc)
+    object.__setattr__(disc, "center", center)
+    object.__setattr__(disc, "direction", direction)
     return cost, ChainLink(disc=disc, zeta_in=zeta_in, zeta_out=zeta_out)
 
 

@@ -355,3 +355,22 @@ class TestMain:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_import_loads_only_stdlib_numpy_and_koblab(self):
+        # what importing the CLI adds to a bare interpreter's modules (the
+        # site may already load third-party ones) is the standard library,
+        # numpy and koblab, nothing else
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def loaded(statement):
+            probe = f"import sys{statement}; print(' '.join(sys.modules))"
+            out = subprocess.run(
+                [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+            )
+            return set(out.stdout.split())
+
+        added = loaded(", koblab.cli") - loaded("")
+        assert "koblab.cli" in added
+        allowed = set(sys.stdlib_module_names) | {"numpy", "koblab"}
+        assert sorted(m for m in added if m.split(".")[0] not in allowed) == []

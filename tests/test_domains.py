@@ -1055,6 +1055,16 @@ class TestCenteredRadius:
         assert found >= domain.boundary_distance(z) / np.linalg.norm(v) * RADIUS_RHO
         assert found >= radius * RADIUS_TIGHTNESS[name]
 
+    def test_probe_rounding_onto_the_rim_keeps_the_first_disc(self):
+        # a child probe 1 ulp inside the first disc, eta * 0.3495..., rounds
+        # to 1.0 on the rim; that probe must not cap r below the first disc
+        domain = unit_bidisc()
+        z = np.array([0.0, 0.0])
+        v = np.array([0.0, 0.3495385200732309])
+        found = domain.certified_radius(z, v, METRIC_CELLS)
+        assert found >= domain.boundary_distance(z) / np.linalg.norm(v) * RADIUS_RHO
+        assert found <= _centred_radius(domain, z, v)
+
 
 class TestGenericCoveringSound:
     @pytest.mark.parametrize("domain", [unit_ball(2), unit_bidisc()], ids=["ball", "bidisc"])

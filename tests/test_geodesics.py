@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from exact_oracles import ball_distance as oracle_ball
+from exact_oracles import polydisc_distance as oracle_polydisc
 from koblab import geodesics
-from koblab.curves import SampledCurve
+from koblab.curves import SampledCurve, concatenate
 from koblab.domains import (
     Ball,
     DimensionMismatchError,
     PointOutsideDomainError,
+    Polydisc,
     unit_ball,
     unit_bidisc,
 )
@@ -29,7 +32,7 @@ from koblab.kobayashi import (
     estimate_distance,
 )
 from koblab.ladder import DyadicLadder
-from koblab.poincare import poincare_distance
+from koblab.poincare import geodesic_point, poincare_distance
 
 
 def coordinate_disc_chain(zeta_in=0.0, zeta_out=0.5):
@@ -67,6 +70,42 @@ def random_geodesic_chain(rng):
         zout = 0.75 * math.sqrt(rng.uniform()) * _unit_phase(rng)
         if 0.3 <= poincare_distance(zin, zout) <= 2.0:
             return DiscChain(links=(ChainLink(disc, zin, zout),))
+
+
+def cut_chain(rng, chain, pieces, bend=False):
+    """The chain's one link cut into ``pieces`` links at points of its geodesic.
+
+    With ``bend`` (for ``random_geodesic_chain``'s bidisc discs) each later
+    link keeps the first coordinate's direction and takes a fresh second
+    coordinate slope through the joint: still geodesic in the bidisc, since
+    the first coordinate realizes the distance and the second contracts.
+    """
+    (link,) = chain.links
+    total = poincare_distance(link.zeta_in, link.zeta_out)
+    cuts = [geodesic_point(link.zeta_in, link.zeta_out, s)
+            for s in np.sort(rng.uniform(0.1, 0.9, pieces - 1)) * total]
+    params = [link.zeta_in, *cuts, link.zeta_out]
+    disc, links = link.disc, []
+    for zin, zout in zip(params, params[1:]):
+        links.append(ChainLink(disc, zin, zout))
+        if bend:
+            # |zout| <= 0.75, so the new disc's second coordinate stays
+            # within |joint| + 1.75 |slope| < 1 of 0 on the closed disc
+            joint = disc.at(zout)
+            slope = 0.5 * (1.0 - abs(joint[1])) / 1.75 * _unit_phase(rng)
+            direction = disc.direction[0] * np.array([1.0, slope])
+            disc = AnalyticDisc(joint - zout * direction, direction)
+    return DiscChain(links=tuple(links))
+
+
+def ball_geodesic_chain(rng):
+    """The estimator's slice-disc chain between two random points of B^2."""
+    ball = unit_ball(2)
+    while True:
+        z, w = 0.9 * ball.sample_point(rng), 0.9 * ball.sample_point(rng)
+        chain = estimate_distance(ball, z, w).chain
+        if 0.3 <= chain_upper_bound(ball, chain, margin=0.0) <= 3.0:
+            return chain
 
 
 class TestBuildChainCurve:
@@ -114,6 +153,25 @@ class TestBuildChainCurve:
             expected = np.array([link.disc.at(zeta) for zeta in inner.points[:, 0]])
             expected[0], expected[-1] = link.start, link.end
             assert curve.points.tobytes() == expected.tobytes()
+
+    def test_records_its_chain(self):
+        # every sample is its link's disc at its parameter, bit for bit; a
+        # joint sample belongs to the link it ends
+        rng = np.random.Generator(np.random.Philox(key=37))
+        chain = cut_chain(rng, random_geodesic_chain(rng), 3, bend=True)
+        curve = build_chain_curve(unit_bidisc(), chain, 40)
+        recorded, link, zeta = curve.chain_samples
+        assert recorded is chain and link.shape == zeta.shape == curve.params.shape
+        assert link.tolist() == [0] * 40 + [1] * 39 + [2] * 39
+        for i, point in enumerate(curve.points):
+            assert point.tobytes() == chain.links[link[i]].disc.at(zeta[i]).tobytes()
+        assert [zeta[39], zeta[78]] == [chain.links[0].zeta_out, chain.links[1].zeta_out]
+        assert curve.shifted(5.0).chain_samples is curve.chain_samples
+        # only build_chain_curve records a chain
+        assert SampledCurve(curve.params, curve.points).chain_samples is None
+        halves = [build_chain_curve(unit_bidisc(), DiscChain(links=part), 40)
+                  for part in (chain.links[:1], chain.links[1:])]
+        assert concatenate(halves).chain_samples is None
 
     def test_uncertified_chain_rejected(self):
         disc = AnalyticDisc([0.0, 0.0], [2.0, 0.0])
@@ -198,6 +256,69 @@ class TestChecker:
         curve = SampledCurve(np.array([0.0]), np.array([[0.1 + 0j]]))
         with pytest.raises(DimensionMismatchError):
             check_almost_geodesic(unit_bidisc(), curve, 1.0, 0.1)
+
+
+class TestChainBracket:
+    """A chain curve's pairs are bracketed by its own certified chain."""
+
+    @pytest.mark.parametrize("pieces", [1, 3])
+    @pytest.mark.parametrize("kappa", [0.05, 0.0])
+    @pytest.mark.parametrize("name", ["bidisc", "ball"])
+    def test_same_verdicts_as_the_chainless_copy(self, monkeypatch, name, kappa, pieces):
+        distances = _counting(monkeypatch, "estimate_distance")
+        if name == "bidisc":
+            domain, oracle, key = unit_bidisc(), oracle_polydisc, 41
+        else:
+            domain, oracle, key = unit_ball(2), oracle_ball, 43
+        rng = np.random.Generator(np.random.Philox(key=key))
+        for trial in range(4):
+            if name == "bidisc":
+                chain = cut_chain(rng, random_geodesic_chain(rng), pieces, bend=True)
+            else:
+                chain = cut_chain(rng, ball_geodesic_chain(rng), pieces)
+            curve = build_chain_curve(domain, chain, 40)
+            copy = SampledCurve(curve.params, curve.points)
+            distances.clear()
+            verdict = check_almost_geodesic(domain, curve, 1.0, kappa, seed=trial)
+            searched = len(distances)
+            plain = check_almost_geodesic(domain, copy, 1.0, kappa, seed=trial)
+            assert [(c.s, c.t, c.lower.hex(), c.status) for c in verdict.condition_a] == [
+                (c.s, c.t, c.lower.hex(), c.status) for c in plain.condition_a
+            ]
+            assert verdict.condition_b == plain.condition_b
+            if kappa > 0:
+                # every pair took its sub-chain's cost, which is the length
+                # of the curve between the two samples, and none searched
+                assert verdict.overall == "pass" and searched == 0
+                for check in verdict.condition_a:
+                    assert abs(check.upper - (check.t - check.s)) <= 1e-12
+            for check in verdict.condition_a:
+                i, j = np.searchsorted(curve.params, [check.s, check.t])
+                assert check.upper >= oracle(curve.points[i], curve.points[j])
+
+    def test_passing_chain_curve_runs_no_search(self, monkeypatch):
+        distances = _counting(monkeypatch, "estimate_distance")
+        rng = np.random.Generator(np.random.Philox(key=47))
+        curve = build_chain_curve(unit_bidisc(), random_geodesic_chain(rng), 120)
+        for candidate in (curve, curve.shifted(5.0)):
+            verdict = check_almost_geodesic(unit_bidisc(), candidate, 1.0, 0.05, seed=3)
+            assert verdict.overall == "pass" and len(verdict.condition_a) == 24
+        assert distances == []
+
+    def test_chain_not_certified_in_the_checked_domain(self):
+        # the samples stay in the smaller polydisc, but the chain's disc
+        # reaches past it, so its costs bracket nothing there, though they
+        # exceed most of the polydisc's distances and fit the wide band
+        small = Polydisc(np.array([0.3, 0.0]), [0.7, 1.0])
+        disc = AnalyticDisc([0.0, 0.0], [0.5, 0.0])
+        chain = DiscChain(links=(ChainLink(disc, 0.0, 0.45), ChainLink(disc, 0.45, 0.9)))
+        curve = build_chain_curve(unit_bidisc(), chain, 60)
+        with pytest.raises(UncertifiedDiscError):
+            chain_upper_bound(small, chain, margin=0.0)
+        copy = SampledCurve(curve.params, curve.points)
+        for seed in range(3):
+            verdict = check_almost_geodesic(small, curve, 1.0, 1.0, seed=seed)
+            assert verdict == check_almost_geodesic(small, copy, 1.0, 1.0, seed=seed)
 
 
 def _counting(monkeypatch, name):
