@@ -712,8 +712,6 @@ def _search_upper_bound(
 
     # declared product structure: distances combine by max over factors
     factors = domain.product_factors()
-    if factors is not None and len(factors) < 2:
-        factors = None
     if factors is not None:
         per, used_all = [], True
         for f, block in factor_slices(factors):
@@ -877,7 +875,7 @@ def _split_direction(v: np.ndarray) -> tuple[np.ndarray, float]:
 def _unit_upper(domain: DomainOracle, z: np.ndarray, unit: np.ndarray) -> float:
     """Upper bound for k(z; unit), for z inside the domain and a unit vector."""
     factors = domain.product_factors()
-    if factors is not None and len(factors) >= 2:
+    if factors is not None:
         # a block of the unit vector is split as v is, so that each factor
         # again works with a unit direction, whatever the block's size
         uppers = []

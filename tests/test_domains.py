@@ -1,8 +1,11 @@
 """Domain oracles: membership, certified distances, disc certificates, specs."""
 
 import cmath
+import json
 import math
 import sys
+import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from koblab import domains, psh
 from koblab.domains import (
     Ball,
+    CertifyResult,
     CertStatus,
     DimensionMismatchError,
     DomainError,
@@ -31,7 +35,9 @@ from koblab.domains import (
     unit_bidisc,
     unit_disc,
 )
-from koblab.kobayashi import METRIC_CELLS, _split_direction, cauchy_table, infinitesimal_bounds
+from koblab.kobayashi import (
+    METRIC_CELLS, _split_direction, cauchy_table, infinitesimal_bounds, lower_bound,
+)
 from koblab.ladder import DyadicLadder
 
 import exact_oracles
@@ -125,6 +131,39 @@ class TestPolydiscFactors:
 
     def test_disc_has_no_factors(self):
         assert unit_disc().product_factors() is None
+
+    def test_a_product_of_one_factor_is_that_factor(self):
+        # it declares its factor's factors, so its bounds are the factor's
+        assert Polydisc(np.zeros(1), 1.0).product_factors() is None
+        assert ProductDomain((unit_disc(),)).product_factors() is None
+        single = ProductDomain((unit_bidisc(),))
+        assert single.product_factors() == unit_bidisc().product_factors()
+        z, w = [0.5, 0.0], [0.0, 0.9j]
+        assert lower_bound(single, z, w)[0].hex() == lower_bound(unit_bidisc(), z, w)[0].hex()
+
+
+class TestBoundedRadii:
+    """koblab's domains are bounded: every radius is positive and finite."""
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0],
+                             ids=["inf", "nan", "zero", "negative"])
+    def test_rejected_by_every_constructor(self, radius):
+        # Python's json parses Infinity and NaN, so a spec can carry them
+        text = json.dumps(radius)
+        makers = [
+            lambda: Ball(np.zeros(2), radius),
+            lambda: Polydisc(np.zeros(2), radius),
+            lambda: Polydisc(np.zeros(2), [1.0, radius]),
+            lambda: domain_from_spec(
+                json.loads(f'{{"kind": "ball", "center": [[0, 0]], "radius": {text}}}')
+            ),
+            lambda: domain_from_spec(json.loads(
+                f'{{"kind": "polydisc", "center": [[0, 0], [0, 0]], "radius": [1.0, {text}]}}'
+            )),
+        ]
+        for make in makers:
+            with pytest.raises(DomainError):
+                make()
 
 
 class TestBallSliceRegion:
@@ -649,10 +688,10 @@ def _pointwise_gaps(domain, points):
 def _reference_gap(domain, z):
     """An independent reference for one row of ``_gaps``, None outside.
 
-    A ball, polydisc or product of them is computed from z's coordinates in
-    pure-Python ``math``, sharing no code with ``_gaps``; a sublevel domain
-    goes through its public predicates, whose ``contains`` takes its own
-    path (``membership``)."""
+    A ball, or a product of balls such as a polydisc, is computed from z's
+    coordinates in pure-Python ``math``, sharing no code with ``_gaps``; a
+    sublevel domain goes through its public predicates, whose ``contains``
+    takes its own path (``membership``)."""
     z = [complex(x) for x in z]
     if isinstance(domain, ProductDomain):
         gaps, at = [], 0
@@ -660,21 +699,16 @@ def _reference_gap(domain, z):
             gaps.append(_reference_gap(factor, z[at : at + factor.dim]))
             at += factor.dim
         return None if None in gaps else min(gaps)
-    if not isinstance(domain, (Ball, Polydisc)):
+    if not isinstance(domain, Ball):
         return domain.boundary_distance(z) if domain.contains(z) else None
     offsets = [x - complex(c) for x, c in zip(z, domain.center)]
-    if isinstance(domain, Ball):
-        norm = math.sqrt(sum(w.real**2 for w in offsets) + sum(w.imag**2 for w in offsets))
-        return domain.radius - norm if norm < domain.radius else None
-    radii = [float(r) for r in domain.radii]
-    if not all(abs(w) < r for w, r in zip(offsets, radii)):
-        return None
-    return min(r - abs(w) for w, r in zip(offsets, radii))
+    norm = math.sqrt(sum(w.real**2 for w in offsets) + sum(w.imag**2 for w in offsets))
+    return domain.radius - norm if norm < domain.radius else None
 
 
-# numpy and Python round |w| differently (np.abs and abs of a complex
-# disagree in the last bit on about a third of random inputs), so _gaps
-# meets the reference up to this many ulps of the enclosing radius
+# numpy's dot products and Python's sums may round a norm differently in
+# the last bit, so _gaps meets the reference up to this many ulps of the
+# enclosing radius
 REFERENCE_ULPS = 8
 
 
@@ -739,15 +773,16 @@ class TestGapMatchesPublicOracles:
     def test_closed_forms_match_separate_predicates(self, point):
         # the merged test radius - norm > 0 gives what the separate
         # predicate norm < radius and the distance radius - norm give; the
-        # first two coordinates go to B^2 and the bidisc, all three to B^2 x D
+        # first two coordinates go to B^2 and the bidisc, all three to B^2 x D.
+        # Every disc is a one-dimensional ball: its norm is sqrt(re^2 + im^2)
         z = as_point(point)
         norm = float(np.linalg.norm(z[:2]))
         ball = 1.0 - norm if norm < 1.0 else None
         self._check_public(unit_ball(2), z[:2], ball)
-        offsets = np.abs(z)
-        bidisc = float(np.min(1.0 - offsets[:2])) if np.all(offsets[:2] < 1.0) else None
+        offsets = [math.sqrt(x.real * x.real + x.imag * x.imag) for x in z.tolist()]
+        bidisc = min(1.0 - r for r in offsets[:2]) if max(offsets[:2]) < 1.0 else None
         self._check_public(unit_bidisc(), z[:2], bidisc)
-        disc = 1.0 - float(offsets[2]) if offsets[2] < 1.0 else None
+        disc = 1.0 - offsets[2] if offsets[2] < 1.0 else None
         product = None if ball is None or disc is None else min(ball, disc)
         self._check_public(ProductDomain((unit_ball(2), unit_disc())), z, product)
 
@@ -757,6 +792,150 @@ class TestGapMatchesPublicOracles:
         assert domain.contains(z) is (expected is not None)
         if expected is not None:
             assert _bits(domain.boundary_distance(z)) == _bits(expected)
+
+
+def _coordinate_discs(domain):
+    """(center, radius) of each coordinate disc of a disc or polydisc."""
+    if isinstance(domain, Ball):
+        return [(complex(domain.center[0]), domain.radius)]
+    return [(complex(c), float(r)) for c, r in zip(domain.center, domain.radii)]
+
+
+def _rim_points(domain, rng, count):
+    """Points with one coordinate 1e-16 to 1e-13 of its radius off its
+    circle, outward in the first half and inward in the second; the other
+    coordinates lie at most halfway out."""
+    discs = _coordinate_discs(domain)
+    points = np.empty((count, len(discs)), dtype=complex)
+    for j, (c, r) in enumerate(discs):
+        points[:, j] = c + 0.5 * r * rng.uniform(size=count) * np.exp(
+            2j * np.pi * rng.uniform(size=count)
+        )
+    pushed = np.arange(count) % len(discs)
+    sign = np.where(np.arange(count) < count // 2, 1.0, -1.0)
+    scale = 1.0 + sign * 10.0 ** rng.uniform(-16, -13, size=count)
+    rims = np.exp(2j * np.pi * rng.uniform(size=count))
+    for j, (c, r) in enumerate(discs):
+        rows = pushed == j
+        points[rows, j] = c + r * scale[rows] * rims[rows]
+    return points
+
+
+def _exactly_inside(discs, z):
+    """Whether z lies in the product of the discs, in exact rational arithmetic."""
+    for x, (c, r) in zip(z, discs):
+        dx, dy = Fraction(x.real) - Fraction(c.real), Fraction(x.imag) - Fraction(c.imag)
+        if dx * dx + dy * dy >= Fraction(r) ** 2:
+            return False
+    return True
+
+
+RIM_DOMAINS = {
+    "disc": unit_disc(),
+    "bidisc": unit_bidisc(),
+    "offset-polydisc": Polydisc(np.array([0.3 + 0.1j, -0.2j]), [0.7, 1.3]),
+}
+
+
+class TestRimSoundness:
+    @pytest.mark.parametrize("name", sorted(RIM_DOMAINS))
+    def test_no_point_outside_is_accepted(self, name):
+        # rejecting a point exactly inside is sound, only conservative: the
+        # count is reported (pytest -s), not asserted
+        domain = RIM_DOMAINS[name]
+        count = 7000
+        points = _rim_points(domain, np.random.Generator(np.random.Philox(key=43)), count)
+        discs = _coordinate_discs(domain)
+        inside = np.array([_exactly_inside(discs, z) for z in points.tolist()])
+        accepted = domain._gaps(points) > 0
+        print(f"{name}: {np.count_nonzero(inside & ~accepted)} of {count} points exactly "
+              f"inside rejected, {np.count_nonzero(~inside)} exactly outside")
+        assert points[accepted & ~inside].tolist() == []
+
+
+class TestFarPoints:
+    # squares past the float range: a far point is outside, without a warning
+    @pytest.mark.parametrize("domain, z", [
+        (unit_disc(), [1e200]),
+        (unit_disc(), [1e154 + 1e154j]),
+        (unit_bidisc(), [1e200, 0]),
+        (unit_bidisc(), [0, 1e154 + 1e154j]),
+        (unit_ball(2), [1e200, 0]),
+        (ProductDomain((unit_ball(2), unit_disc())), [0, 0, 1e200]),
+        (Ball(np.zeros(1), 2.0**600), [1.7e308 + 1.7e308j]),
+        (Polydisc(np.zeros(2), [1.0, 2.0**600]), [1e200, 0]),
+    ], ids=["disc", "disc-sum", "bidisc", "bidisc-sum", "ball2", "ball2xdisc",
+            "rescaled-ball", "rescaled-polydisc"])
+    def test_outside_without_overflow_warning(self, domain, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert domain.contains(z) is False
+            with pytest.raises(PointOutsideDomainError):
+                domain.boundary_distance(z)
+
+
+# radii the balls measure directly, and radii past 2^500, where they rescale
+_POLYDISC_RADII = st.one_of(
+    st.sampled_from([1.0, 0.7, 3.0, 2.0**-40, 2.0**501, 2.0**600, 1e300]), st.floats(1e-3, 1e3)
+)
+# parts of an offset in units of its coordinate's radius: the rim and other
+# edges with their one-ulp neighbours, and anything out to 1.25 radii
+_RADIUS_UNITS = st.one_of(
+    st.sampled_from(sorted({x for base in (0.0, 0.6, 0.8, 1.0) for sign in (1, -1)
+                            for x in _near(sign * base)})),
+    st.floats(-1.25, 1.25),
+)
+
+
+@st.composite
+def _polydisc_and_points(draw):
+    dim = draw(st.integers(1, 3))
+    radii = [draw(_POLYDISC_RADII) for _ in range(dim)]
+    center = [draw(st.sampled_from([0.0, 0.3 + 0.1j, -0.2j])) * r for r in radii]
+    points = [
+        np.array([c + r * complex(draw(_RADIUS_UNITS), draw(_RADIUS_UNITS))
+                  for c, r in zip(center, radii)])
+        for _ in range(4)
+    ]
+    return Polydisc(np.array(center, dtype=complex), radii), points
+
+
+def _answer(method, *args):
+    """What an oracle method answers, as comparable bits, or the error it raises."""
+    try:
+        result = method(*args)
+    except Exception as exc:
+        return type(exc)
+    if isinstance(result, CertifyResult):
+        witness = None if result.witness is None else complex(result.witness)
+        return result.status, _complex_bits(witness), result.oracle_calls
+    return None if result is None else (_complex_bits(complex(result[0])), _bits(result[1]))
+
+
+def _complex_bits(z):
+    return None if z is None else (z.real.hex(), z.imag.hex())
+
+
+class TestPolydiscIsProductOfBalls:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_polydisc_and_points(), rho=st.floats(1e-3, 1.0), max_cells=st.integers(0, 4))
+    def test_bitwise(self, case, rho, max_cells):
+        polydisc, points = case
+        product = ProductDomain(tuple(
+            Ball(polydisc.center[j : j + 1], float(r)) for j, r in enumerate(polydisc.radii)
+        ))
+        rows = np.array(points)
+        assert _row_bits(polydisc._gaps(rows)) == _row_bits(product._gaps(rows))
+        for p, q in zip(points, points[1:]):
+            assert _answer(polydisc.slice_region, p, q) == _answer(product.slice_region, p, q)
+            disc = (p, q - p, rho, max_cells)
+            assert (_answer(polydisc.certify_affine_disc, *disc)
+                    == _answer(product.certify_affine_disc, *disc))
+        (center, radius), (product_center, product_radius) = (
+            polydisc.enclosing_ball(), product.enclosing_ball()
+        )
+        assert center.tobytes() == product_center.tobytes() and radius.hex() == product_radius.hex()
+        assert polydisc.product_factors() == product.product_factors()
 
 
 def _two_wells_sublevel():

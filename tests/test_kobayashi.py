@@ -73,16 +73,15 @@ def oracle_polydisc(z, w):
     return exact_oracles.polydisc_distance(z, w)
 
 
-def _record_gaps_callers(monkeypatch, cls):
-    """Record (calling function, rows) for every ``cls._gaps`` call."""
+def _record_gaps_callers(monkeypatch, *classes):
+    """Record (calling function, rows) for every ``_gaps`` call on ``classes``, in order."""
     calls = []
-    original = cls._gaps
+    for cls in classes:
+        def recorded(self, points, _original=cls._gaps):
+            calls.append((sys._getframe(1).f_code.co_name, len(points)))
+            return _original(self, points)
 
-    def recorded(self, points):
-        calls.append((sys._getframe(1).f_code.co_name, len(points)))
-        return original(self, points)
-
-    monkeypatch.setattr(cls, "_gaps", recorded)
+        monkeypatch.setattr(cls, "_gaps", recorded)
     return calls
 
 
@@ -1072,8 +1071,8 @@ class TestProductMetricUpper:
     def test_sublevel_factor_asked_only_when_it_moves(self, monkeypatch):
         domain = _METRIC_PRODUCTS["disc-x-sublevel-ball"]
         disc, sublevel = domain.product_factors()
-        certified = _asked(monkeypatch, "certify_affine_disc", Polydisc, SublevelDomain)
-        asked = _asked(monkeypatch, "certified_radius", Polydisc, SublevelDomain)
+        certified = _asked(monkeypatch, "certify_affine_disc", Ball, SublevelDomain)
+        asked = _asked(monkeypatch, "certified_radius", Ball, SublevelDomain)
         z = np.array([0.5j, 0.3, -0.2j])
         infinitesimal_bounds(domain, z, [0.4, 0.0, 0.0])
         assert certified == [disc] and asked == []
@@ -1172,7 +1171,8 @@ class TestSliceIdentity:
         assert str(excinfo.value) == expected
 
     def test_hypothesis_checked_in_two_batches(self, monkeypatch):
-        calls = _record_gaps_callers(monkeypatch, Polydisc)
+        # the base is the unit disc, a Ball; the total, the bidisc, a Polydisc
+        calls = _record_gaps_callers(monkeypatch, Ball, Polydisc)
         report = slice_identity_check(unit_disc(), unit_bidisc(), [0], [0.5])
         assert report.passed
         rows = [rows for caller, rows in calls if caller == "slice_identity_check"]
