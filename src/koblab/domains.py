@@ -332,7 +332,9 @@ class _Level(NamedTuple):
 
     cells: np.ndarray  # the cells' centers, after the cap's cut
     probes: np.ndarray  # the centers clamped into the parameter disc
-    reach: np.ndarray  # the clearance / speed that certifies each cell
+    # the clearance / speed that certifies each cell; one float, the
+    # half-diagonal, when no center was clamped
+    reach: np.ndarray | float
     uncertified: np.ndarray | None  # None where the covering stopped at this level
     over_cap: bool
 
@@ -398,15 +400,21 @@ def _covering(dim: int, center, direction, rho: float, max_cells: int, replay=()
             radius = np.hypot(cells.real, cells.imag)
             near = radius - diagonal <= rho
             affordable = max(0, max_cells - calls) // 2  # a probe costs two calls
-            cells, radius = cells[near][:affordable], radius[near][:affordable]
-            over_cap = np.count_nonzero(near) > affordable
-            # clamp each center into the disc: probe = zeta_c / |zeta_c| * rho
-            probes = cells.copy()
+            over_cap = False
+            if cells.size > affordable or not near.all():
+                cells, radius = cells[near][:affordable], radius[near][:affordable]
+                over_cap = np.count_nonzero(near) > affordable
             out = radius > rho
-            probes.real[out] = cells.real[out] / radius[out] * rho
-            probes.imag[out] = cells.imag[out] / radius[out] * rho
-            offset = cells - probes
-            reach = np.hypot(offset.real, offset.imag) + diagonal
+            if out.any():
+                # clamp each center into the disc: probe = zeta_c / |zeta_c| * rho
+                probes = cells.copy()
+                probes.real[out] = cells.real[out] / radius[out] * rho
+                probes.imag[out] = cells.imag[out] / radius[out] * rho
+                offset = cells - probes
+                reach = np.hypot(offset.real, offset.imag) + diagonal
+            else:
+                # no center moves, so every reach is the half-diagonal
+                probes, reach = cells, diagonal
             gaps = yield center + probes[:, None] * direction
         else:
             cells, probes, reach, _, over_cap = remembered
@@ -422,7 +430,7 @@ def _covering(dim: int, center, direction, rho: float, max_cells: int, replay=()
         if over_cap:
             record.append(_Level(cells, probes, reach, None, over_cap))
             return CertifyResult(CertStatus.INDETERMINATE, rho, oracle_calls=calls)
-        uncertified = ~(gaps / speed >= reach)
+        uncertified = gaps / speed < reach  # every gap here is positive
         record.append(_Level(cells, probes, reach, uncertified, over_cap))
         parents = cells[uncertified]
         if parents.size == 0:
@@ -707,12 +715,18 @@ class ProductDomain(DomainOracle):
         return gaps
 
     def enclosing_ball(self):
-        centers, rad2 = [], 0.0
+        centers, radii, rad2 = [], [], 0.0
         for f in self.factors:
             c, r = f.enclosing_ball()
             centers.append(c)
+            radii.append(r)
             rad2 += r * r
-        return np.concatenate(centers), math.sqrt(rad2)
+        radius = math.sqrt(rad2)
+        # sqrt(r * r) is r unless r * r overflows or underflows, so only
+        # then can the sum fall short of a factor; hypot scales the squares
+        if not max(radii) <= radius < math.inf:
+            radius = math.hypot(*radii)
+        return np.concatenate(centers), radius
 
     def product_factors(self):
         """The factors, when there are at least two; a product of one factor
@@ -885,8 +899,11 @@ class SublevelDomain(DomainOracle):
         """
         gaps = self.ambient._gaps(points)
         inside = gaps > 0
-        vals = self._values(points[inside])
+        every = inside.all()  # then the batch itself is the rows inside
+        vals = self._values(points if every else points[inside])
         room = np.where(vals < self.level, (self.level - vals) / self.lipschitz, math.nan)
+        if every:
+            return np.minimum(gaps, room)
         gaps[inside] = np.minimum(gaps[inside], room)
         return gaps
 

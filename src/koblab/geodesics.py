@@ -33,6 +33,7 @@ from .domains import (
 from .kobayashi import (
     DiscChain,
     EstimationError,
+    _bracket_from_lower,
     chain_upper_bound,
     estimate_distance,
     infinitesimal_bounds,
@@ -158,7 +159,8 @@ def check_almost_geodesic(
     cost of the sub-chain between its two samples (``_chain_costs``); a
     bracket inside the band is PASS with that cost as its upper, and no
     search runs.  Every other pair, and every pair of a curve without a
-    certified chain, takes ``estimate_distance``'s bracket at PAIR_BUDGET.
+    certified chain, takes ``estimate_distance``'s bracket at PAIR_BUDGET;
+    a pair whose lower is already in hand keeps it and only searches.
 
     The checks run in a fixed order, sorted index pairs and then sorted
     speed nodes, and a FAIL verdict ends at its first certified violation:
@@ -194,14 +196,16 @@ def check_almost_geodesic(
         s, t = float(curve.params[i]), float(curve.params[j])
         band_low = max(0.0, abs(s - t) / lam - kappa)
         band_high = lam * abs(s - t) + kappa
+        z, w = curve.points[i], curve.points[j]
         if costs is not None and costs[n] <= band_high:
-            low = lower_bound(domain, curve.points[i], curve.points[j])[0]
+            low, low_cert = lower_bound(domain, z, w)
             if band_low <= low <= costs[n]:
                 a_checks.append(PairCheck(s, t, low, costs[n], band_low, band_high, PASS))
                 continue
-        est = estimate_distance(
-            domain, curve.points[i], curve.points[j], budget=PAIR_BUDGET, margin=margin
-        )
+            # the search takes the lower already in hand
+            est = _bracket_from_lower(domain, z, w, low, low_cert, PAIR_BUDGET, margin)
+        else:
+            est = estimate_distance(domain, z, w, budget=PAIR_BUDGET, margin=margin)
         # a FAIL needs the whole bracket certifiably outside the band; the
         # 1e-11 guard keeps float noise from being called a violation
         if est.upper is None:

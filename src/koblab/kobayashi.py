@@ -680,10 +680,11 @@ def search_upper_bound(
     A declared product first bounds each factor on its own and takes the
     largest (the Kobayashi distance of a product is the largest of its
     factors').  Then the oracle's ``slice_region`` decides: an exact region
-    costs one certification; without one, the generic search (segment ball
-    chain, bisection over parameter-disc centers, compass refinement) runs
-    only when there is no product bound, i.e. when some factor found no
-    upper.
+    costs one certification; without one, the generic search runs only
+    when there is no product bound, i.e. when some factor found no upper.
+    It bisects over parameter-disc centers and refines the cheapest disc
+    by compass search; the segment ball chain runs only as its fallback,
+    when the bisection certifies nothing or has 64 calls or fewer to spend.
     """
     return _search_upper_bound(
         domain, as_point(z, domain.dim), as_point(w, domain.dim), budget, margin
@@ -741,20 +742,25 @@ def _search_upper_bound(
     elif not candidates:
         # no product bound: a chain on the product costs at least every
         # factor's distance, so with tight factor uppers the search below
-        # cannot undercut that bound and runs only without it.  Two phases:
-        # the segment ball chain is the cheap answer that always exists;
-        # then the cheapest comfortably certified disc over a few centers
-        # (bisection, keeping 2/3 of the budget back), refined by compass
-        # search with the rest.  Both phases keep only links they certified
-        # themselves, so nothing is certified twice.
-        fallback = _segment_ball_chain(z, w, oracle)
-        if fallback is not None:
-            candidates.append((fallback[0], DiscChain(links=tuple(fallback[1])), "ball-chain"))
+        # cannot undercut that bound and runs only without it.  The cheapest
+        # comfortably certified disc over a few centers (bisection, keeping
+        # 2/3 of the budget back), refined by compass search with the rest;
+        # only when the bisection certifies no disc, or 64 calls or fewer
+        # are left for it, the segment ball chain, whose upper is several
+        # times the compass's where both certify.  Each phase keeps only
+        # links it certified itself, so nothing is certified twice.
+        start = None
         if oracle.remaining() > 64:
             start = _bisected_slice_region(z, w, margin, oracle, oracle.remaining() * 2 // 3)
-            if start is not None:
-                cost, link = _compass_refine(z, w, margin, oracle, start)
-                candidates.append((cost, DiscChain(links=(link,)), "slice"))
+        if start is not None:
+            cost, link = _compass_refine(z, w, margin, oracle, start)
+            candidates.append((cost, DiscChain(links=(link,)), "slice"))
+        else:
+            fallback = _segment_ball_chain(z, w, oracle)
+            if fallback is not None:
+                candidates.append(
+                    (fallback[0], DiscChain(links=tuple(fallback[1])), "ball-chain")
+                )
 
     if not candidates:
         return None, None, oracle.used, "exhausted"
@@ -797,6 +803,21 @@ def estimate_distance(
             upper_certificate={"kind": "same-point"},
         )
     low, low_cert = lower_bound(domain, z, w)
+    return _bracket_from_lower(domain, z, w, low, low_cert, budget, margin)
+
+
+def _bracket_from_lower(
+    domain: DomainOracle,
+    z: np.ndarray,
+    w: np.ndarray,
+    low: float,
+    low_cert: dict,
+    budget: int,
+    margin: float,
+) -> DistanceEstimate:
+    """``estimate_distance``'s bracket of two points of the domain, given
+    their ``lower_bound`` and its certificate: the upper search and the
+    soundness check."""
     up, up_cert, used, method = search_upper_bound(domain, z, w, budget=budget, margin=margin)
     if up is None:
         return DistanceEstimate(

@@ -84,11 +84,9 @@ class ScalarField:
                 f"{self.name} gave shape {vals.shape} for {len(points)} points;"
                 " evaluate must be vectorised over the last axis"
             )
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            raise FieldEvaluationError(
-                f"{self.name} is non-finite at {points[bad.argmax()]!r}"
-            )
+        if not np.isfinite(vals).all():
+            bad = np.isfinite(vals).argmin()
+            raise FieldEvaluationError(f"{self.name} is non-finite at {points[bad]!r}")
         return vals
 
 
@@ -105,7 +103,8 @@ class LeviReport:
 def norm_squared(dim: int) -> ScalarField:
     return ScalarField(
         dim=dim,
-        evaluate=lambda z: np.sum(np.abs(z) ** 2, axis=-1),
+        # np.add.reduce is the reduction np.sum wraps, without its dispatch
+        evaluate=lambda z: np.add.reduce(np.abs(z) ** 2, axis=-1),
         gradient=lambda z: 2.0 * z,
         complex_hessian=lambda z: np.eye(dim, dtype=complex),
         lipschitz=lambda r: 2.0 * r,

@@ -118,6 +118,25 @@ class TestEnclosingBall:
             z = domain.sample_point(rng)
             assert np.linalg.norm(z - center) < radius
 
+    @pytest.mark.parametrize("radius", [1e200, 1e155, 1e-170, 1e-200])
+    def test_product_radius_survives_overflow_and_underflow(self, radius):
+        # the factors' squared radii overflow to inf or underflow below
+        # their bits; the suite turns a RuntimeWarning into an error
+        domain = Polydisc(np.zeros(2), radius)
+        center, enclosing = domain.enclosing_ball()
+        assert radius <= enclosing < math.inf
+        assert enclosing.hex() == math.hypot(radius, radius).hex()
+        z = domain.sample_point(np.random.Generator(np.random.Philox(key=4)))
+        assert domain.contains(z)
+
+    def test_ordinary_product_radius_keeps_its_bits(self):
+        radii = [1.5, 1.0, 0.25, 3e150]
+        domain = ProductDomain(tuple(Ball(np.zeros(1), r) for r in radii))
+        rad2 = 0.0
+        for r in radii:
+            rad2 += r * r
+        assert domain.enclosing_ball()[1].hex() == math.sqrt(rad2).hex()
+
 
 class TestPolydiscFactors:
     def test_built_once_and_equal_to_coordinate_balls(self):
@@ -1543,6 +1562,121 @@ class TestRememberedCovering:
         assert used.certify_affine_disc([0.3], [0.2], 0.999).certified
         assert used == twin
         assert repr(used) == repr(twin)
+
+
+def _pin(res):
+    """A CertifyResult as (status, witness in hex, oracle_calls)."""
+    witness = None if res.witness is None else f"{res.witness.real.hex()} {res.witness.imag.hex()}"
+    return res.status.value, witness, res.oracle_calls
+
+
+# (center, direction, rho, max_cells) on the generic-search ball, and the
+# result each covering gave before its per-level bookkeeping was trimmed
+COVERING_PINS = {
+    "rho-1": ([0.3, 0.1j], [0.5, 0.2], 1.0, 20000, ("certified", None, 182)),
+    "rho-0.999": ([0.3, 0.1j], [0.5, 0.2], 0.999, 20000, ("certified", None, 182)),
+    "clamped-rim-certified": ([0.2, 0.1j], [0.3, 0.75j], 1.0, 20000, ("certified", None, 1858)),
+    "clamped-rim-rejected": (
+        [0.2, 0.1j], [0.85, 0.0], 0.999, 20000,
+        ("rejected", "0x1.69ad37d6f3bfep-1 -0x1.69ad37d6f3bfep-1", 31),
+    ),
+    "near-level-rejected": (
+        [0.0, 0.0], [1.6, 0.0], 1.0, 20000,
+        ("rejected", "-0x1.0000000000000p-1 -0x1.0000000000000p-1", 3),
+    ),
+    "cap-cuts-rim-level": ([0.1, 0.0], [0.88, 0.0], 0.999, 1001, ("indeterminate", None, 1000)),
+    "cap-cuts-near-level": ([0.1, 0.0], [0.88, 0.0], 1.0, 5, ("indeterminate", None, 4)),
+    "zero-speed": ([0.3, 0.1j], [0.0, 0.0], 0.999, 20000, ("certified", None, 1)),
+    "zero-speed-outside": (
+        [0.9, 0.5j], [0.0, 0.0], 1.0, 20000, ("rejected", "0x0.0p+0 0x0.0p+0", 1)
+    ),
+    "centre-outside": ([0.9, 0.5j], [0.1, 0.0], 1.0, 20000, ("rejected", "0x0.0p+0 0x0.0p+0", 1)),
+}
+
+# eight seeded discs (see _seeded_discs) at each (rho, max_cells)
+SEEDED_COVERING_PINS = {
+    (1.0, 99): [
+        ("indeterminate", None, 98),
+        ("certified", None, 60),
+        ("indeterminate", None, 98),
+        ("rejected", "0x1.6a09e667f3bcdp-1 0x1.6a09e667f3bcdp-1", 41),
+        ("rejected", "-0x1.6a09e667f3bcdp-1 0x1.6a09e667f3bcdp-1", 21),
+        ("rejected", "-0x1.0000000000000p-1 0x1.0000000000000p-1", 5),
+        ("certified", None, 98),
+        ("rejected", "0x1.6a09e667f3bcdp-1 -0x1.6a09e667f3bcdp-1", 31),
+    ],
+    (1.0, 20000): [
+        ("rejected", "0x1.29980d726b54ep-1 0x1.a0a1ac6cfcaa0p-1", 151),
+        ("certified", None, 60),
+        ("certified", None, 244),
+        ("rejected", "0x1.6a09e667f3bcdp-1 0x1.6a09e667f3bcdp-1", 41),
+        ("rejected", "-0x1.6a09e667f3bcdp-1 0x1.6a09e667f3bcdp-1", 21),
+        ("rejected", "-0x1.0000000000000p-1 0x1.0000000000000p-1", 5),
+        ("certified", None, 98),
+        ("rejected", "0x1.6a09e667f3bcdp-1 -0x1.6a09e667f3bcdp-1", 31),
+    ],
+    (0.999, 99): [
+        ("indeterminate", None, 98),
+        ("certified", None, 60),
+        ("indeterminate", None, 98),
+        ("rejected", "0x1.69ad37d6f3bfep-1 0x1.69ad37d6f3bfep-1", 41),
+        ("rejected", "-0x1.69ad37d6f3bfep-1 0x1.69ad37d6f3bfep-1", 21),
+        ("rejected", "-0x1.ff7ced916872bp-2 0x1.ff7ced916872bp-2", 5),
+        ("certified", None, 98),
+        ("rejected", "0x1.69ad37d6f3bfep-1 -0x1.69ad37d6f3bfep-1", 31),
+    ],
+    (0.999, 20000): [
+        ("rejected", "0x1.294bde545a540p-1 0x1.a037040fb1a8dp-1", 151),
+        ("certified", None, 60),
+        ("certified", None, 244),
+        ("rejected", "0x1.69ad37d6f3bfep-1 0x1.69ad37d6f3bfep-1", 41),
+        ("rejected", "-0x1.69ad37d6f3bfep-1 0x1.69ad37d6f3bfep-1", 21),
+        ("rejected", "-0x1.ff7ced916872bp-2 0x1.ff7ced916872bp-2", 5),
+        ("certified", None, 98),
+        ("rejected", "0x1.69ad37d6f3bfep-1 -0x1.69ad37d6f3bfep-1", 31),
+    ],
+}
+
+
+def _seeded_discs():
+    rng = np.random.Generator(np.random.Philox(key=35))
+    discs = []
+    for _ in range(8):
+        c, d = rng.uniform(-0.5, 0.5, size=4), rng.uniform(-0.45, 0.45, size=4)
+        discs.append((c[:2] + 1j * c[2:], d[:2] + 1j * d[2:]))
+    return discs
+
+
+class TestCoveringPins:
+    """Coverings keep every bit: status, witness and charge, pinned in hex.
+
+    The named discs cover rho = 1 and 0.999, levels whose cells all lie in
+    the parameter disc and levels with rim cells clamped onto it, rejections
+    on either kind, caps that cut either kind, and zero-speed discs.
+    """
+
+    @pytest.mark.parametrize("name", sorted(COVERING_PINS))
+    def test_named_disc(self, name):
+        center, direction, rho, max_cells, expected = COVERING_PINS[name]
+        res = _generic_search_ball().certify_affine_disc(
+            np.array(center, dtype=complex), np.array(direction, dtype=complex), rho,
+            max_cells=max_cells,
+        )
+        assert _pin(res) == expected
+
+    @pytest.mark.parametrize("rho, max_cells", sorted(SEEDED_COVERING_PINS))
+    def test_seeded_discs_alone_and_together(self, rho, max_cells):
+        discs = _seeded_discs()
+        expected = SEEDED_COVERING_PINS[rho, max_cells]
+        alone = [
+            _pin(_generic_search_ball().certify_affine_disc(c, d, rho, max_cells=max_cells))
+            for c, d in discs
+        ]
+        assert alone == expected
+        together = _generic_search_ball().certify_affine_discs(
+            [c for c, _ in discs], [d for _, d in discs], rho, max_cells=max_cells
+        )
+        assert [_pin(res) for res in together] == expected
 
 
 class TestHugeBall:

@@ -7,7 +7,7 @@ import pytest
 
 from exact_oracles import ball_distance as oracle_ball
 from exact_oracles import polydisc_distance as oracle_polydisc
-from koblab import geodesics
+from koblab import geodesics, kobayashi
 from koblab.curves import SampledCurve, concatenate
 from koblab.domains import (
     Ball,
@@ -304,6 +304,39 @@ class TestChainBracket:
             verdict = check_almost_geodesic(unit_bidisc(), candidate, 1.0, 0.05, seed=3)
             assert verdict.overall == "pass" and len(verdict.condition_a) == 24
         assert distances == []
+
+    def test_each_pair_takes_one_lower(self, monkeypatch):
+        # the zero-kappa curve's pairs whose sub-chain cost fits the band
+        # but whose lower misses it search from the lower already in hand;
+        # asking estimate_distance afresh, as the checker once did, gives
+        # the same checks for 11 more lower bounds
+        lowers = []
+        inner = kobayashi.lower_bound
+
+        def counted(*args):
+            lowers.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(kobayashi, "lower_bound", counted)
+        monkeypatch.setattr(geodesics, "lower_bound", counted)
+        curve = build_chain_curve(unit_bidisc(), coordinate_disc_chain(), 200)
+
+        def checks():
+            lowers.clear()
+            verdict = check_almost_geodesic(unit_bidisc(), curve, lam=1.0, kappa=0.0, seed=1)
+            return [
+                (c.s, c.t, c.lower.hex(), None if c.upper is None else c.upper.hex(), c.status)
+                for c in verdict.condition_a
+            ], len(lowers)
+
+        once, count = checks()
+        assert len(once) == 24 and count == 24
+
+        def afresh(domain, z, w, low, low_cert, budget, margin):
+            return estimate_distance(domain, z, w, budget=budget, margin=margin)
+
+        monkeypatch.setattr(geodesics, "_bracket_from_lower", afresh)
+        assert checks() == (once, 35)
 
     def test_chain_not_certified_in_the_checked_domain(self):
         # the samples stay in the smaller polydisc, but the chain's disc

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from koblab import domains as domains_module
+from koblab import kobayashi as kobayashi_module
 from koblab import psh
 from koblab.cli import emit_plot_data, parse_config, run
 from koblab.domains import (
@@ -1381,6 +1382,39 @@ class TestGenericCoveringPath:
             recertified = chain_upper_bound(sublevel_ball, cert, margin=0.0)
             assert recertified == pytest.approx(val, rel=1e-9)
             assert recertified >= oracle_ball(z, w)
+
+    def _spy_ball_chain(self, monkeypatch):
+        calls = []
+        inner = kobayashi_module._segment_ball_chain
+
+        def spied(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(kobayashi_module, "_segment_ball_chain", spied)
+        return calls
+
+    def test_ball_chain_skipped_once_a_slice_certifies(self, sublevel_ball, monkeypatch):
+        calls = self._spy_ball_chain(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=41))
+        for _ in range(4):
+            z = 0.8 * sublevel_ball.sample_point(rng)
+            w = 0.8 * sublevel_ball.sample_point(rng)
+            _, _, _, method = search_upper_bound(sublevel_ball, z, w, budget=20_000)
+            assert method == "slice"
+        assert calls == []
+
+    @pytest.mark.parametrize("budget", [20, 64, 65])
+    def test_ball_chain_is_the_fallback(self, sublevel_ball, monkeypatch, budget):
+        # at 64 calls or fewer the bisection does not start, and at 65 it
+        # certifies nothing with the 22 calls its reserve leaves it
+        calls = self._spy_ball_chain(monkeypatch)
+        z, w = np.array([0.1, 0.0]), np.array([0.4, 0.1])
+        val, cert, used, method = search_upper_bound(sublevel_ball, z, w, budget=budget)
+        assert len(calls) == 1 and method == "ball-chain" and used <= budget
+        assert isinstance(cert, DiscChain) and len(cert.links) == 2
+        assert chain_upper_bound(sublevel_ball, cert, margin=0.0) == val
+        assert val >= oracle_ball(z, w)
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 5, 7, 65, 2001])
     def test_budget_never_overrun(self, sublevel_ball, budget):
